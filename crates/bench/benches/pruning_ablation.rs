@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use optsched_bench::{workload_problem, ExperimentOptions};
-use optsched_core::{AStarScheduler, PruningConfig};
+use optsched_core::{AStarScheduler, PruningConfig, SearchConfig};
 
 fn bench_pruning(c: &mut Criterion) {
     let opts = ExperimentOptions::default();
@@ -26,10 +26,12 @@ fn bench_pruning(c: &mut Criterion) {
     group.sample_size(10);
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.measurement_time(std::time::Duration::from_secs(3));
-    for (name, cfg) in configs {
+    for (name, pruning) in configs {
+        let config = SearchConfig { pruning, ..SearchConfig::default() };
         group.bench_function(name, |b| {
             b.iter(|| {
-                black_box(AStarScheduler::new(&problem).with_pruning(cfg).run().schedule_length)
+                let scheduler = AStarScheduler::new(&problem).with_config(config.clone());
+                black_box(scheduler.run().schedule_length)
             })
         });
     }

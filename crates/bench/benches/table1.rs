@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
 use optsched_bench::{workload_problem, ExperimentOptions, CCRS};
-use optsched_core::{AStarScheduler, ChenYuScheduler, PruningConfig};
+use optsched_core::{AStarScheduler, ChenYuScheduler, PruningConfig, SearchConfig};
 
 fn bench_table1(c: &mut Criterion) {
     let opts = ExperimentOptions::default();
@@ -25,12 +25,8 @@ fn bench_table1(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("astar_full", ccr), &problem, |b, p| {
             b.iter(|| {
-                black_box(
-                    AStarScheduler::new(p)
-                        .with_pruning(PruningConfig::none())
-                        .run()
-                        .schedule_length,
-                )
+                let full = SearchConfig { pruning: PruningConfig::none(), ..Default::default() };
+                black_box(AStarScheduler::new(p).with_config(full).run().schedule_length)
             })
         });
         group.bench_with_input(BenchmarkId::new("astar_pruned", ccr), &problem, |b, p| {

@@ -11,7 +11,7 @@
 //! Usage: `cargo run --release -p optsched-bench --bin ablation_pruning -- [--sizes ...] [--budget-ms N]`
 
 use optsched_bench::{fmt_ms, workload_problem, CsvWriter, ExperimentOptions, CCRS};
-use optsched_core::{AStarScheduler, PruningConfig, SearchLimits, SearchOutcome};
+use optsched_core::{AStarScheduler, PruningConfig, SearchConfig, SearchLimits, SearchOutcome};
 
 fn configurations() -> Vec<(&'static str, PruningConfig)> {
     let none = PruningConfig::none();
@@ -47,7 +47,8 @@ fn main() {
             println!("{:<36} {:>10} {:>12} {:>12} {:>12}", "configuration", "length", "generated", "expanded", "time ms");
             let mut optimal = None;
             for (name, cfg) in configurations() {
-                let r = AStarScheduler::new(&problem).with_pruning(cfg).with_limits(limits).run();
+                let config = SearchConfig { pruning: cfg, limits, ..SearchConfig::default() };
+                let r = AStarScheduler::new(&problem).with_config(config).run();
                 let timed_out = r.outcome == SearchOutcome::LimitReached;
                 if !timed_out {
                     match optimal {

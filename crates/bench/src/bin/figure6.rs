@@ -23,7 +23,7 @@
 //! Usage: `cargo run --release -p optsched-bench --bin figure6 -- [--sizes ...] [--budget-ms N] [--tpes P] [--seed S]`
 
 use optsched_bench::{workload_problem, write_json_rows, CsvWriter, ExperimentOptions, CCRS};
-use optsched_core::{AStarScheduler, SearchLimits, SearchOutcome};
+use optsched_core::{AStarScheduler, SearchConfig, SearchLimits, SearchOutcome};
 use optsched_parallel::{DuplicateDetection, ParallelAStarScheduler, ParallelConfig};
 
 const PPE_COUNTS: [usize; 4] = [2, 4, 8, 16];
@@ -64,7 +64,8 @@ fn main() {
             // mode: run it once per instance so both mode sweeps are
             // measured against the same denominator.
             let problem = workload_problem(size, ccr, &opts);
-            let serial = AStarScheduler::new(&problem).with_limits(limits).run();
+            let serial =
+                AStarScheduler::new(&problem).with_config(SearchConfig::limited(limits)).run();
             if serial.outcome != SearchOutcome::Optimal {
                 println!(
                     "{size:>5} {:>12} | (serial search exceeded the budget, skipped)",

@@ -14,7 +14,9 @@
 //! Usage: `cargo run --release -p optsched-bench --bin table1 -- [--sizes 10,12,...] [--budget-ms N] [--tpes P] [--seed S]`
 
 use optsched_bench::{fmt_ms, workload_problem, CsvWriter, ExperimentOptions, CCRS};
-use optsched_core::{AStarScheduler, ChenYuScheduler, PruningConfig, SearchLimits, SearchOutcome};
+use optsched_core::{
+    AStarScheduler, ChenYuScheduler, PruningConfig, SearchConfig, SearchLimits, SearchOutcome,
+};
 
 fn main() {
     let opts = ExperimentOptions::parse(std::env::args().skip(1));
@@ -35,12 +37,11 @@ fn main() {
         for &size in &opts.sizes {
             let problem = workload_problem(size, ccr, &opts);
 
-            let chen = ChenYuScheduler::new(&problem).with_limits(limits).run();
-            let full = AStarScheduler::new(&problem)
-                .with_pruning(PruningConfig::none())
-                .with_limits(limits)
-                .run();
-            let pruned = AStarScheduler::new(&problem).with_limits(limits).run();
+            let limited = SearchConfig::limited(limits);
+            let unpruned = SearchConfig { pruning: PruningConfig::none(), ..limited.clone() };
+            let chen = ChenYuScheduler::new(&problem).with_config(limited.clone()).run();
+            let full = AStarScheduler::new(&problem).with_config(unpruned).run();
+            let pruned = AStarScheduler::new(&problem).with_config(limited).run();
 
             let cell = |r: &optsched_core::SearchResult| {
                 if r.outcome == SearchOutcome::LimitReached {

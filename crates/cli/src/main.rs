@@ -4,8 +4,7 @@
 //! optsched schedule --input graph.json [--procs 4] [--topology ring|mesh|full|chain|star|hypercube]
 //!                   [--algorithm astar|wastar|aeps|chenyu|exhaustive|list|parallel] [--epsilon 0.2]
 //!                   [--weight 1.5] [--seed-incumbent] [--ppes 4] [--dup-detection local|sharded]
-//!                   [--shards N] [--budget-ms N] [--max-expansions N] [--store eager|arena]
-//!                   [--arena-gc on|off] [--path-cache K] [--election-batch B]
+//!                   [--shards N] [--budget-ms N] [--max-expansions N]
 //!                   [--trace-out trace.json] [--gantt] [--json]
 //! optsched generate --nodes 20 --ccr 1.0 [--seed 7] [--output graph.json]
 //! optsched example
@@ -20,14 +19,12 @@
 //! ```
 //!
 //! The `--algorithm` value is resolved through the facade's
-//! [`SchedulerRegistry`]; the CLI has no per-algorithm code paths.
-//! `--store eager|arena` selects the state-store layout for the serial
-//! engine *and* the per-PPE arenas of `--algorithm parallel`, whose counter
-//! output includes the store's `peak_live_states` high-water mark.
-//! `--arena-gc on|off` toggles the store's refcounted reclamation of dead
-//! delta chains and `--path-cache K` sizes its materialisation replay cache
-//! (0 disables it); every run prints the resulting `peak_live_records`,
-//! `reclaimed_records` and path-cache hit-rate counters.
+//! [`SchedulerRegistry`]; the CLI has no per-algorithm code paths.  Every
+//! run prints the state arena's `peak_live_records`, `reclaimed_records`
+//! and path-cache hit-rate counters (`--algorithm parallel` adds the
+//! `peak_live_states` headline and its CLOSED-table counters).  A graph
+//! whose worst-case makespan does not fit under the schedulers' cost
+//! ceiling is rejected with a message instead of being scheduled.
 //!
 //! Graph files are the `serde_json` serialisation of
 //! [`optsched_taskgraph::TaskGraph`] (produced by `optsched generate`).
@@ -62,7 +59,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use optsched::registry::{path_cache_hit_rate, SchedulerRegistry, SchedulerSpec};
-use optsched_core::{AStarScheduler, SchedulingProblem, SearchLimits, SearchOutcome};
+use optsched_core::{
+    check_cost_ceiling, AStarScheduler, SchedulingProblem, SearchLimits, SearchOutcome,
+};
 use optsched_procnet::{ProcNetwork, Topology};
 use optsched_schedule::{render_gantt, Schedule};
 use optsched_service::{run_service, serve_tcp, Request, SchedulingService, ServiceConfig};
@@ -114,7 +113,7 @@ impl Args {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  optsched schedule --input graph.json|- [--procs P] [--topology T] [--algorithm A] \\\n                    [--epsilon E] [--weight W] [--seed-incumbent] [--ppes Q] \\\n                    [--dup-detection local|sharded] [--shards N] \\\n                    [--budget-ms N] [--max-expansions N] [--store eager|arena] \\\n                    [--arena-gc on|off] [--path-cache K] [--election-batch B] \\\n                    [--trace-out trace.json] [--gantt] [--json]\n  optsched generate --nodes N --ccr C [--seed S] [--output file.json]\n  optsched levels --input graph.json|-\n  optsched example\n  optsched serve [--workers N] [--listen ADDR:PORT] [--admission-budget N] \\\n                 [--degrade-threshold N] [--degrade-deadline-ms N] [--cache-capacity N] \\\n                 [--cache-max-age-ms N] [--summary-interval-ms N] [--trace-out trace.json]\n  optsched batch --requests file.jsonl|- [--workers N] [--min-cache-hits N] [--summary] \\\n                 [--admission-budget N] [--degrade-threshold N] [--cache-capacity N] \\\n                 [--trace-out trace.json]\n  optsched requests --count N [--seed S] [--output file.jsonl]\n(`--input -` reads the graph JSON from stdin; algorithms: astar|wastar|aeps|chenyu|exhaustive|list|parallel;\n serve/batch requests may also say \"auto\" to let the deadline-aware portfolio pick;\n a running serve/batch also answers the admin line {{\"type\": \"stats\"}};\n --trace-out writes a Chrome trace-event JSON of the run's spans at exit)"
+        "usage:\n  optsched schedule --input graph.json|- [--procs P] [--topology T] [--algorithm A] \\\n                    [--epsilon E] [--weight W] [--seed-incumbent] [--ppes Q] \\\n                    [--dup-detection local|sharded] [--shards N] \\\n                    [--budget-ms N] [--max-expansions N] \\\n                    [--trace-out trace.json] [--gantt] [--json]\n  optsched generate --nodes N --ccr C [--seed S] [--output file.json]\n  optsched levels --input graph.json|-\n  optsched example\n  optsched serve [--workers N] [--listen ADDR:PORT] [--admission-budget N] \\\n                 [--degrade-threshold N] [--degrade-deadline-ms N] [--cache-capacity N] \\\n                 [--cache-max-age-ms N] [--summary-interval-ms N] [--trace-out trace.json]\n  optsched batch --requests file.jsonl|- [--workers N] [--min-cache-hits N] [--summary] \\\n                 [--admission-budget N] [--degrade-threshold N] [--cache-capacity N] \\\n                 [--trace-out trace.json]\n  optsched requests --count N [--seed S] [--output file.jsonl]\n(`--input -` reads the graph JSON from stdin; algorithms: astar|wastar|aeps|chenyu|exhaustive|list|parallel;\n serve/batch requests may also say \"auto\" to let the deadline-aware portfolio pick;\n a running serve/batch also answers the admin line {{\"type\": \"stats\"}};\n --trace-out writes a Chrome trace-event JSON of the run's spans at exit)"
     );
     ExitCode::FAILURE
 }
@@ -181,19 +180,6 @@ fn build_spec(args: &Args) -> Result<SchedulerSpec, String> {
         seed_incumbent: args.has("seed-incumbent"),
         ..Default::default()
     };
-    if let Some(v) = args.get("store") {
-        spec.store = v.parse()?;
-    }
-    if let Some(v) = args.get("arena-gc") {
-        spec.arena_gc = match v {
-            "on" | "true" | "1" => true,
-            "off" | "false" | "0" => false,
-            _ => return Err(format!("unknown --arena-gc value `{v}` (expected on|off)")),
-        };
-    }
-    spec.path_cache = args.get_parse("path-cache", spec.path_cache);
-    spec.parallel.election_batch =
-        args.get_parse("election-batch", spec.parallel.election_batch);
     spec.parallel.num_ppes = args.get_parse("ppes", spec.parallel.num_ppes);
     spec.parallel.epsilon = args.get("epsilon").and_then(|v| v.parse().ok());
     if let Some(v) = args.get("dup-detection") {
@@ -212,6 +198,10 @@ fn cmd_schedule(args: &Args, graph: TaskGraph) -> ExitCode {
         optsched_obs::set_enabled(true);
     }
     let net = build_network(args, 4);
+    if let Err(e) = check_cost_ceiling(&graph, &net) {
+        eprintln!("{e}");
+        return ExitCode::FAILURE;
+    }
     let problem = SchedulingProblem::new(graph.clone(), net.clone());
     let spec = match build_spec(args) {
         Ok(spec) => spec,

@@ -284,66 +284,36 @@ fn wastar_from_the_cli_matches_astar_at_weight_one() {
     assert_eq!(lengths[0], lengths[2], "the seeded search stays exact");
 }
 
-/// `--store` used to be silently ignored for `--algorithm parallel`; it now
-/// selects the per-PPE state store, the algorithm banner names it, and the
-/// replay-savings counter betrays which store ran: only the delta arena
-/// rebuilds states from delta records (and banks the deltas its path-cache
-/// bases skipped); the eager baseline never replays.  (The headline
-/// `peak_live_states` no longer separates the stores — since snapshot
-/// transfers it is dominated by the same in-flight traffic on both.)
+/// `--algorithm parallel` reports the `peak_live_states` headline, and its
+/// per-PPE arenas rebuild states from delta records, banking the deltas the
+/// path-cache bases skipped.
 #[test]
-fn parallel_store_modes_agree_and_report_peak_live_states() {
+fn parallel_reports_peak_live_states_and_replay_savings() {
     let generated = run(&["generate", "--nodes", "8", "--ccr", "1.0", "--seed", "7"]);
     assert!(generated.status.success());
-    let graph_json = generated.stdout;
-
-    let mut results: Vec<(u64, u64)> = Vec::new(); // (schedule length, peak live)
-    for store in ["arena", "eager"] {
-        let out = run_with_stdin(
-            &[
-                "schedule", "--input", "-", "--algorithm", "parallel", "--ppes", "2",
-                "--store", store, "--procs", "3",
-            ],
-            &graph_json,
-        );
-        assert!(out.status.success(), "store={store} stderr: {}", String::from_utf8_lossy(&out.stderr));
-        let stdout = String::from_utf8_lossy(&out.stdout).to_string();
-        assert!(stdout.contains(&format!("{store} store")), "stdout: {stdout}");
-        let len = stdout
-            .lines()
-            .find_map(|l| l.strip_prefix("schedule length:"))
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .unwrap_or_else(|| panic!("no schedule length in: {stdout}"));
-        assert!(
-            stdout.lines().any(|l| l.starts_with("peak_live_states")),
-            "no peak_live_states counter in: {stdout}"
-        );
-        let saved = stdout
-            .lines()
-            .find_map(|l| l.strip_prefix("replayed deltas saved"))
-            .and_then(|v| v.trim_start_matches([' ', ':']).trim().parse::<u64>().ok())
-            .unwrap_or_else(|| panic!("no replayed-deltas-saved counter in: {stdout}"));
-        results.push((len, saved));
-    }
-    assert_eq!(results[0].0, results[1].0, "both stores must return the same optimum");
-    assert!(results[0].1 > 0, "the arena's path-cache bases must bank skipped deltas");
-    assert_eq!(results[1].1, 0, "the eager store never replays, so it never saves");
-
-    // An unknown store fails cleanly.
-    let bad = run_with_stdin(
-        &["schedule", "--input", "-", "--algorithm", "parallel", "--store", "bogus"],
-        &graph_json,
+    let out = run_with_stdin(
+        &["schedule", "--input", "-", "--algorithm", "parallel", "--ppes", "2", "--procs", "3"],
+        &generated.stdout,
     );
-    assert!(!bad.status.success());
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown state store"));
+    assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let stdout = String::from_utf8_lossy(&out.stdout).to_string();
+    assert!(
+        stdout.lines().any(|l| l.starts_with("peak_live_states")),
+        "no peak_live_states counter in: {stdout}"
+    );
+    let saved = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("replayed deltas saved"))
+        .and_then(|v| v.trim_start_matches([' ', ':']).trim().parse::<u64>().ok())
+        .unwrap_or_else(|| panic!("no replayed-deltas-saved counter in: {stdout}"));
+    assert!(saved > 0, "the arena's path-cache bases must bank skipped deltas");
 }
 
 /// Every schedule run prints the arena-lifecycle counters
-/// (`peak_live_records`, `reclaimed_records`, the path-cache hit rate);
-/// `--arena-gc off` restores the append-only store (zero reclaimed) without
-/// moving the optimum, and a malformed value fails cleanly.
+/// (`peak_live_records`, `reclaimed_records`, the path-cache hit rate), and
+/// the refcounted arena visibly reclaims dead chains, serial and parallel.
 #[test]
-fn arena_gc_knob_and_lifecycle_counters_from_the_cli() {
+fn arena_lifecycle_counters_from_the_cli() {
     let generated = run(&["generate", "--nodes", "10", "--ccr", "1.0", "--seed", "7"]);
     assert!(generated.status.success());
     let graph_json = generated.stdout;
@@ -356,44 +326,49 @@ fn arena_gc_knob_and_lifecycle_counters_from_the_cli() {
             .unwrap_or_else(|| panic!("no {name} counter in: {stdout}"))
     };
 
-    let mut lengths = Vec::new();
-    let mut reclaimed = Vec::new();
-    for gc in ["on", "off"] {
+    for algorithm in ["astar", "parallel"] {
         let out = run_with_stdin(
             &[
-                "schedule", "--input", "-", "--algorithm", "astar", "--procs", "3",
-                "--arena-gc", gc,
+                "schedule", "--input", "-", "--algorithm", algorithm, "--ppes", "2", "--procs",
+                "3",
             ],
             &graph_json,
         );
-        assert!(out.status.success(), "gc={gc} stderr: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(out.status.success(), "{algorithm}: {}", String::from_utf8_lossy(&out.stderr));
         let stdout = String::from_utf8_lossy(&out.stdout).to_string();
         assert!(stdout.contains("path-cache hit rate"), "stdout: {stdout}");
         assert!(counter(&stdout, "peak_live_records") > 0, "stdout: {stdout}");
-        lengths.push(counter(&stdout, "schedule length"));
-        reclaimed.push(counter(&stdout, "reclaimed_records"));
+        assert!(counter(&stdout, "reclaimed_records") > 0, "{algorithm} must reclaim");
     }
-    assert_eq!(lengths[0], lengths[1], "GC never changes the search");
-    assert!(reclaimed[0] > 0, "default GC must reclaim dead chains");
-    assert_eq!(reclaimed[1], 0, "--arena-gc off is append-only");
+}
 
-    // The parallel family reports the same counters among its extras.
-    let par = run_with_stdin(
-        &[
-            "schedule", "--input", "-", "--algorithm", "parallel", "--ppes", "2", "--procs",
-            "3",
-        ],
-        &graph_json,
-    );
-    assert!(par.status.success(), "stderr: {}", String::from_utf8_lossy(&par.stderr));
-    let stdout = String::from_utf8_lossy(&par.stdout).to_string();
-    assert!(counter(&stdout, "reclaimed_records") > 0, "stdout: {stdout}");
-    assert!(stdout.contains("path-cache hit rate"), "stdout: {stdout}");
+/// The regression fixture of the cost-overflow crash: a two-node chain whose
+/// node and edge weights are `u64::MAX`, followed by one valid request.
+/// `batch` on a single worker used to lose its worker to the overflow panic
+/// and hang; now the bad line gets a structured `ok:false` reply at parse
+/// time and the valid one is still answered.  `schedule` rejects the same
+/// graph with a message and a non-zero exit instead of panicking.
+#[test]
+fn overflowing_costs_are_rejected_at_parse_time() {
+    let fixture = include_str!("fixtures/overflow_chain.jsonl");
+    let batch = run_with_stdin(&["batch", "--requests", "-", "--workers", "1"], fixture.as_bytes());
+    let out = String::from_utf8_lossy(&batch.stdout);
+    let replies: Vec<&str> = out.lines().collect();
+    assert_eq!(replies.len(), 2, "one reply per line: {out}");
+    assert!(replies[0].contains("\"ok\":false"), "{}", replies[0]);
+    assert!(replies[0].contains("cost ceiling"), "{}", replies[0]);
+    assert!(replies[1].contains("\"ok\":true"), "{}", replies[1]);
+    assert!(!batch.status.success(), "batch exits non-zero when a reply is an error");
 
-    // A malformed value fails cleanly.
-    let bad = run_with_stdin(&["schedule", "--input", "-", "--arena-gc", "sometimes"], &graph_json);
-    assert!(!bad.status.success());
-    assert!(String::from_utf8_lossy(&bad.stderr).contains("unknown --arena-gc"));
+    let bad_line = fixture.lines().next().expect("fixture line");
+    let start = bad_line.find("{\"nodes\"").expect("graph object");
+    let end = bad_line.find(",\"network\"").expect("network follows the graph");
+    let graph = &bad_line.as_bytes()[start..end];
+    let scheduled = run_with_stdin(&["schedule", "--input", "-"], graph);
+    assert!(!scheduled.status.success());
+    let stderr = String::from_utf8_lossy(&scheduled.stderr);
+    assert!(stderr.contains("cost ceiling"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
 /// Feeds stdin in two chunks with a pause between, keeping the service alive

@@ -8,11 +8,10 @@
 //! guaranteed to be within `(1 + ε)` of the optimal schedule length
 //! (Theorem 2), while the search typically expands far fewer states than A*.
 
-use optsched_schedule::Schedule;
 use optsched_taskgraph::Cost;
 
-use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
-use crate::engine::{focal_threshold, run_search, ArenaConfig, FocalPolicy, StoreKind};
+use crate::config::SearchConfig;
+use crate::engine::{focal_threshold, run_search, FocalPolicy};
 use crate::problem::SchedulingProblem;
 use crate::stats::SearchResult;
 
@@ -23,12 +22,7 @@ use crate::stats::SearchResult;
 pub struct AEpsScheduler<'a> {
     problem: &'a SchedulingProblem,
     epsilon: f64,
-    pruning: PruningConfig,
-    heuristic: HeuristicKind,
-    limits: SearchLimits,
-    store: ArenaConfig,
-    seed_incumbent: bool,
-    warm_start: Option<Schedule>,
+    config: SearchConfig,
 }
 
 impl<'a> AEpsScheduler<'a> {
@@ -40,16 +34,7 @@ impl<'a> AEpsScheduler<'a> {
     /// Panics if `epsilon` is negative or not finite.
     pub fn new(problem: &'a SchedulingProblem, epsilon: f64) -> Self {
         assert!(epsilon.is_finite() && epsilon >= 0.0, "epsilon must be a non-negative number");
-        AEpsScheduler {
-            problem,
-            epsilon,
-            pruning: PruningConfig::all(),
-            heuristic: HeuristicKind::PaperStaticLevel,
-            limits: SearchLimits::unlimited(),
-            store: ArenaConfig::default(),
-            seed_incumbent: false,
-            warm_start: None,
-        }
+        AEpsScheduler { problem, epsilon, config: SearchConfig::default() }
     }
 
     /// The approximation factor ε.
@@ -57,54 +42,10 @@ impl<'a> AEpsScheduler<'a> {
         self.epsilon
     }
 
-    /// Selects which pruning techniques to use.
-    pub fn with_pruning(mut self, pruning: PruningConfig) -> Self {
-        self.pruning = pruning;
-        self
-    }
-
-    /// Selects the admissible heuristic.
-    pub fn with_heuristic(mut self, heuristic: HeuristicKind) -> Self {
-        self.heuristic = heuristic;
-        self
-    }
-
-    /// Applies resource limits to the run.
-    pub fn with_limits(mut self, limits: SearchLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Selects the state-store layout (delta arena by default).
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store.kind = store;
-        self
-    }
-
-    /// Enables or disables refcounted arena reclamation (on by default).
-    pub fn with_arena_gc(mut self, gc: bool) -> Self {
-        self.store.gc = gc;
-        self
-    }
-
-    /// Sets the materialisation path-cache capacity (0 disables it).
-    pub fn with_path_cache(mut self, entries: u32) -> Self {
-        self.store.path_cache = entries;
-        self
-    }
-
-    /// Treats the list-heuristic schedule as an attained incumbent (strict
-    /// upper-bound pruning; see [`run_search`]).  Off by default.
-    pub fn with_seeded_incumbent(mut self, seed: bool) -> Self {
-        self.seed_incumbent = seed;
-        self
-    }
-
-    /// Hands the search a complete schedule attained elsewhere as a candidate
-    /// starting incumbent (adopted only when strictly better; must be
-    /// feasible for this problem).
-    pub fn with_warm_start(mut self, warm: Option<Schedule>) -> Self {
-        self.warm_start = warm;
+    /// Replaces the search configuration (pruning, heuristic, limits and
+    /// starting incumbent).
+    pub fn with_config(mut self, config: SearchConfig) -> Self {
+        self.config = config;
         self
     }
 
@@ -118,16 +59,8 @@ impl<'a> AEpsScheduler<'a> {
     /// [`SearchOutcome::Optimal`](crate::stats::SearchOutcome::Optimal)
     /// (which here means "completed within the configured bound").
     pub fn run(&self) -> SearchResult {
-        run_search(
-            self.problem,
-            FocalPolicy::new(self.epsilon, self.pruning.upper_bound_pruning),
-            self.pruning,
-            self.heuristic,
-            self.limits,
-            self.store,
-            self.seed_incumbent,
-            self.warm_start.as_ref(),
-        )
+        let policy = FocalPolicy::new(self.epsilon, self.config.pruning.upper_bound_pruning);
+        run_search(self.problem, policy, &self.config)
     }
 }
 
@@ -135,6 +68,7 @@ impl<'a> AEpsScheduler<'a> {
 mod tests {
     use super::*;
     use crate::astar::AStarScheduler;
+    use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
     use crate::stats::SearchOutcome;
     use optsched_procnet::ProcNetwork;
     use optsched_taskgraph::paper_example_dag;
@@ -212,7 +146,8 @@ mod tests {
     #[test]
     fn limits_are_honoured() {
         let prob = example_problem();
-        let r = AEpsScheduler::new(&prob, 0.2).with_limits(SearchLimits::expansions(1)).run();
+        let limited = SearchConfig::limited(SearchLimits::expansions(1));
+        let r = AEpsScheduler::new(&prob, 0.2).with_config(limited).run();
         assert_eq!(r.outcome, SearchOutcome::LimitReached);
         r.expect_schedule().validate(prob.graph(), prob.network()).unwrap();
     }
@@ -220,10 +155,12 @@ mod tests {
     #[test]
     fn pruning_config_and_heuristic_are_composable() {
         let prob = example_problem();
-        let r = AEpsScheduler::new(&prob, 0.2)
-            .with_pruning(PruningConfig::none())
-            .with_heuristic(HeuristicKind::TightStaticLevel)
-            .run();
+        let config = SearchConfig {
+            pruning: PruningConfig::none(),
+            heuristic: HeuristicKind::TightStaticLevel,
+            ..SearchConfig::default()
+        };
+        let r = AEpsScheduler::new(&prob, 0.2).with_config(config).run();
         assert!(r.is_optimal());
         assert!(r.schedule_length <= (14.0 * 1.2) as Cost);
     }

@@ -19,10 +19,8 @@
 //! assert_eq!(result.schedule_length, 14);
 //! ```
 
-use optsched_schedule::Schedule;
-
-use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
-use crate::engine::{run_search, AStarPolicy, ArenaConfig, StoreKind};
+use crate::config::SearchConfig;
+use crate::engine::{run_search, AStarPolicy};
 use crate::problem::SchedulingProblem;
 use crate::stats::SearchResult;
 
@@ -31,81 +29,19 @@ use crate::stats::SearchResult;
 #[derive(Debug, Clone)]
 pub struct AStarScheduler<'a> {
     problem: &'a SchedulingProblem,
-    pruning: PruningConfig,
-    heuristic: HeuristicKind,
-    limits: SearchLimits,
-    store: ArenaConfig,
-    seed_incumbent: bool,
-    warm_start: Option<Schedule>,
+    config: SearchConfig,
 }
 
 impl<'a> AStarScheduler<'a> {
     /// A scheduler with every pruning technique enabled and the paper's heuristic.
     pub fn new(problem: &'a SchedulingProblem) -> Self {
-        AStarScheduler {
-            problem,
-            pruning: PruningConfig::all(),
-            heuristic: HeuristicKind::PaperStaticLevel,
-            limits: SearchLimits::unlimited(),
-            store: ArenaConfig::default(),
-            seed_incumbent: false,
-            warm_start: None,
-        }
+        AStarScheduler { problem, config: SearchConfig::default() }
     }
 
-    /// Selects which pruning techniques to use.
-    pub fn with_pruning(mut self, pruning: PruningConfig) -> Self {
-        self.pruning = pruning;
-        self
-    }
-
-    /// Selects the admissible heuristic.
-    pub fn with_heuristic(mut self, heuristic: HeuristicKind) -> Self {
-        self.heuristic = heuristic;
-        self
-    }
-
-    /// Applies resource limits to the run.
-    pub fn with_limits(mut self, limits: SearchLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Selects the state-store layout (delta arena by default; the eager
-    /// clone-per-generation layout exists for before/after measurements).
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store.kind = store;
-        self
-    }
-
-    /// Enables or disables refcounted arena reclamation (on by default; off
-    /// restores the append-only arena for before/after measurements).
-    pub fn with_arena_gc(mut self, gc: bool) -> Self {
-        self.store.gc = gc;
-        self
-    }
-
-    /// Sets the materialisation path-cache capacity (0 disables it).
-    pub fn with_path_cache(mut self, entries: u32) -> Self {
-        self.store.path_cache = entries;
-        self
-    }
-
-    /// Treats the list-heuristic schedule as an *attained* incumbent, so the
-    /// upper-bound rule prunes states that cannot strictly improve on it (see
-    /// [`run_search`]).  Off by default: the classic behaviour keeps states
-    /// whose `f` merely *equals* the upper bound.
-    pub fn with_seeded_incumbent(mut self, seed: bool) -> Self {
-        self.seed_incumbent = seed;
-        self
-    }
-
-    /// Hands the search a complete schedule attained elsewhere (a cached
-    /// near-match, an anytime leg of a race) as a candidate starting
-    /// incumbent; adopted only when it beats the incumbent the run would
-    /// otherwise start from.  The schedule must be feasible for this problem.
-    pub fn with_warm_start(mut self, warm: Option<Schedule>) -> Self {
-        self.warm_start = warm;
+    /// Replaces the search configuration (pruning, heuristic, limits and
+    /// starting incumbent).
+    pub fn with_config(mut self, config: SearchConfig) -> Self {
+        self.config = config;
         self
     }
 
@@ -116,22 +52,15 @@ impl<'a> AStarScheduler<'a> {
 
     /// Runs the search to completion (or until a limit is hit).
     pub fn run(&self) -> SearchResult {
-        run_search(
-            self.problem,
-            AStarPolicy::new(self.pruning.upper_bound_pruning),
-            self.pruning,
-            self.heuristic,
-            self.limits,
-            self.store,
-            self.seed_incumbent,
-            self.warm_start.as_ref(),
-        )
+        let policy = AStarPolicy::new(self.config.pruning.upper_bound_pruning);
+        run_search(self.problem, policy, &self.config)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
     use crate::exhaustive::exhaustive_optimal;
     use crate::stats::SearchOutcome;
     use optsched_procnet::ProcNetwork;
@@ -175,7 +104,8 @@ mod tests {
         );
         assert!(with.stats.expanded <= 50, "expanded {}", with.stats.expanded);
 
-        let without = AStarScheduler::new(&prob).with_pruning(PruningConfig::none()).run();
+        let none = SearchConfig { pruning: PruningConfig::none(), ..SearchConfig::default() };
+        let without = AStarScheduler::new(&prob).with_config(none).run();
         assert!(without.is_optimal());
         assert_eq!(without.schedule_length, 14);
         assert!(
@@ -196,7 +126,8 @@ mod tests {
                 upper_bound_pruning: mask & 4 != 0,
                 priority_ordering: mask & 8 != 0,
             };
-            let r = AStarScheduler::new(&prob).with_pruning(cfg).run();
+            let config = SearchConfig { pruning: cfg, ..SearchConfig::default() };
+            let r = AStarScheduler::new(&prob).with_config(config).run();
             assert!(r.is_optimal(), "{}", cfg.describe());
             assert_eq!(r.schedule_length, 14, "{}", cfg.describe());
             r.expect_schedule().validate(prob.graph(), prob.network()).unwrap();
@@ -207,7 +138,8 @@ mod tests {
     fn all_heuristics_agree_on_the_optimum() {
         let prob = example_problem();
         for h in [HeuristicKind::PaperStaticLevel, HeuristicKind::TightStaticLevel, HeuristicKind::Zero] {
-            let r = AStarScheduler::new(&prob).with_heuristic(h).run();
+            let config = SearchConfig { heuristic: h, ..SearchConfig::default() };
+            let r = AStarScheduler::new(&prob).with_config(config).run();
             assert!(r.is_optimal());
             assert_eq!(r.schedule_length, 14, "{h:?}");
         }
@@ -217,10 +149,12 @@ mod tests {
     fn tight_heuristic_expands_no_more_states() {
         let prob = example_problem();
         let paper = AStarScheduler::new(&prob).run();
+        let with_h =
+            |heuristic| SearchConfig { heuristic, ..SearchConfig::default() };
         let tight =
-            AStarScheduler::new(&prob).with_heuristic(HeuristicKind::TightStaticLevel).run();
+            AStarScheduler::new(&prob).with_config(with_h(HeuristicKind::TightStaticLevel)).run();
         assert!(tight.stats.expanded <= paper.stats.expanded);
-        let zero = AStarScheduler::new(&prob).with_heuristic(HeuristicKind::Zero).run();
+        let zero = AStarScheduler::new(&prob).with_config(with_h(HeuristicKind::Zero)).run();
         assert!(zero.stats.expanded >= paper.stats.expanded);
     }
 
@@ -289,7 +223,8 @@ mod tests {
     #[test]
     fn expansion_limit_reports_limit_reached_with_incumbent() {
         let prob = example_problem();
-        let r = AStarScheduler::new(&prob).with_limits(SearchLimits::expansions(1)).run();
+        let limited = SearchConfig::limited(SearchLimits::expansions(1));
+        let r = AStarScheduler::new(&prob).with_config(limited).run();
         assert_eq!(r.outcome, SearchOutcome::LimitReached);
         // The incumbent is at worst the list-heuristic schedule, which is complete.
         let s = r.expect_schedule();
@@ -301,14 +236,12 @@ mod tests {
     #[test]
     fn generation_and_time_limits_are_honoured() {
         let prob = example_problem();
-        let r = AStarScheduler::new(&prob)
-            .with_limits(SearchLimits { max_generated: Some(2), ..Default::default() })
-            .run();
+        let generated = SearchLimits { max_generated: Some(2), ..Default::default() };
+        let r = AStarScheduler::new(&prob).with_config(SearchConfig::limited(generated)).run();
         assert_eq!(r.outcome, SearchOutcome::LimitReached);
 
-        let r2 = AStarScheduler::new(&prob)
-            .with_limits(SearchLimits { max_millis: Some(0), ..Default::default() })
-            .run();
+        let time = SearchLimits { max_millis: Some(0), ..Default::default() };
+        let r2 = AStarScheduler::new(&prob).with_config(SearchConfig::limited(time)).run();
         assert_eq!(r2.outcome, SearchOutcome::LimitReached);
     }
 
@@ -317,9 +250,8 @@ mod tests {
         let prob = example_problem();
         // The list-heuristic incumbent already meets a loose target.
         let loose_target = prob.upper_bound();
-        let r = AStarScheduler::new(&prob)
-            .with_limits(SearchLimits { target_cost: Some(loose_target), ..Default::default() })
-            .run();
+        let target = SearchLimits { target_cost: Some(loose_target), ..Default::default() };
+        let r = AStarScheduler::new(&prob).with_config(SearchConfig::limited(target)).run();
         assert_eq!(r.outcome, SearchOutcome::TargetReached);
         assert!(r.schedule_length <= loose_target);
     }

@@ -26,11 +26,10 @@
 //! reasonable implementation, to keep memory bounded.
 
 use optsched_procnet::ProcId;
-use optsched_schedule::Schedule;
 use optsched_taskgraph::{Cost, NodeId};
 
-use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
-use crate::engine::{run_search, ArenaConfig, BoundPolicy, StoreKind};
+use crate::config::{HeuristicKind, PruningConfig, SearchConfig};
+use crate::engine::{run_search, BoundPolicy};
 use crate::problem::SchedulingProblem;
 use crate::state::SearchState;
 use crate::stats::{SearchResult, SearchStats};
@@ -52,64 +51,24 @@ const MAX_SEGMENTS_PER_EVALUATION: u64 = 4_000;
 #[derive(Debug, Clone)]
 pub struct ChenYuScheduler<'a> {
     problem: &'a SchedulingProblem,
-    limits: SearchLimits,
-    store: ArenaConfig,
-    seed_incumbent: bool,
-    warm_start: Option<Schedule>,
+    config: SearchConfig,
 }
 
 impl<'a> ChenYuScheduler<'a> {
     /// Creates the baseline scheduler.
     pub fn new(problem: &'a SchedulingProblem) -> Self {
-        ChenYuScheduler {
-            problem,
-            limits: SearchLimits::unlimited(),
-            store: ArenaConfig::default(),
-            seed_incumbent: false,
-            warm_start: None,
-        }
+        ChenYuScheduler { problem, config: SearchConfig::default() }
     }
 
-    /// Applies resource limits to the run.
-    pub fn with_limits(mut self, limits: SearchLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Selects the state-store layout (delta arena by default).
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store.kind = store;
-        self
-    }
-
-    /// Enables or disables refcounted arena reclamation (on by default).
-    pub fn with_arena_gc(mut self, gc: bool) -> Self {
-        self.store.gc = gc;
-        self
-    }
-
-    /// Sets the materialisation path-cache capacity (0 disables it).
-    pub fn with_path_cache(mut self, entries: u32) -> Self {
-        self.store.path_cache = entries;
-        self
-    }
-
-    /// Starts the branch-and-bound elimination from the list-heuristic upper
-    /// bound instead of the algorithm's native infinite incumbent (and prunes
-    /// strictly, since that bound is attained; see [`run_search`]).  This is
-    /// the classic "seed BnB with a heuristic solution" accelerator — off by
-    /// default to preserve the faithful-to-Chen-&-Yu baseline.
-    pub fn with_seeded_incumbent(mut self, seed: bool) -> Self {
-        self.seed_incumbent = seed;
-        self
-    }
-
-    /// Hands the search a complete schedule attained elsewhere as a candidate
-    /// starting incumbent (adopted only when strictly better than the bound
-    /// the run would otherwise start from; must be feasible for this
-    /// problem).
-    pub fn with_warm_start(mut self, warm: Option<Schedule>) -> Self {
-        self.warm_start = warm;
+    /// Replaces the search configuration.  Only the limits and the starting
+    /// incumbent apply: the algorithm forces its own pruning (none) and
+    /// heuristic (the path enumeration).  With
+    /// [`SearchConfig::seed_incumbent`] the elimination starts from the
+    /// list-heuristic upper bound instead of the algorithm's native infinite
+    /// incumbent — the classic "seed BnB with a heuristic solution"
+    /// accelerator, off by default to keep the faithful Chen & Yu baseline.
+    pub fn with_config(mut self, config: SearchConfig) -> Self {
+        self.config = config;
         self
     }
 
@@ -213,16 +172,12 @@ impl<'a> ChenYuScheduler<'a> {
                 delta.g.max(delta.finish + remaining)
             },
         );
-        run_search(
-            self.problem,
-            policy,
-            PruningConfig::none(),
-            HeuristicKind::Zero,
-            self.limits,
-            self.store,
-            self.seed_incumbent,
-            self.warm_start.as_ref(),
-        )
+        let config = SearchConfig {
+            pruning: PruningConfig::none(),
+            heuristic: HeuristicKind::Zero,
+            ..self.config.clone()
+        };
+        run_search(self.problem, policy, &config)
     }
 
     /// Exposes the bound computation for tests and the benches (value and
@@ -310,6 +265,7 @@ fn exhaustive_path_matching(
 mod tests {
     use super::*;
     use crate::astar::AStarScheduler;
+    use crate::config::SearchLimits;
     use crate::stats::SearchOutcome;
     use optsched_procnet::ProcNetwork;
     use optsched_taskgraph::paper_example_dag;
@@ -359,7 +315,7 @@ mod tests {
     fn chen_yu_generates_at_least_as_many_states_as_pruned_astar() {
         let prob = example_problem();
         let cy = ChenYuScheduler::new(&prob).run();
-        let astar = AStarScheduler::new(&prob).with_pruning(PruningConfig::all()).run();
+        let astar = AStarScheduler::new(&prob).run();
         assert!(
             cy.stats.generated >= astar.stats.generated,
             "chen-yu {} vs a* {}",
@@ -390,7 +346,8 @@ mod tests {
     #[test]
     fn limits_are_honoured() {
         let prob = example_problem();
-        let r = ChenYuScheduler::new(&prob).with_limits(SearchLimits::expansions(2)).run();
+        let limited = SearchConfig::limited(SearchLimits::expansions(2));
+        let r = ChenYuScheduler::new(&prob).with_config(limited).run();
         assert_eq!(r.outcome, SearchOutcome::LimitReached);
         r.expect_schedule().validate(prob.graph(), prob.network()).unwrap();
         assert_eq!(ChenYuScheduler::new(&prob).first_processor(), ProcId(0));

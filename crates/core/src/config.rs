@@ -1,6 +1,8 @@
 //! Configuration of the search algorithms: pruning switches, heuristic
-//! choice and resource limits.
+//! choice, resource limits and the incumbent the search starts from, bundled
+//! in one [`SearchConfig`] that every serial scheduler takes.
 
+use optsched_schedule::Schedule;
 use optsched_taskgraph::Cost;
 
 /// Which admissible heuristic `h(s)` the search uses.
@@ -126,6 +128,40 @@ impl SearchLimits {
     }
 }
 
+/// Everything a serial search run can be configured with, shared by every
+/// scheduler family and by [`run_search`](crate::engine::run_search).
+///
+/// The default is the paper's A\*: every pruning technique, the paper's
+/// heuristic, no limits, no seeded or warm-started incumbent.  Chen & Yu and
+/// the exhaustive enumerator ignore `pruning` and `heuristic`: they force
+/// their own (none and `h = 0`).
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SearchConfig {
+    /// Which Section 3.2 pruning techniques to use.
+    pub pruning: PruningConfig,
+    /// The admissible heuristic evaluated for every child.
+    pub heuristic: HeuristicKind,
+    /// Resource limits for the run.
+    pub limits: SearchLimits,
+    /// Treat the list-heuristic schedule as an *attained* incumbent, so the
+    /// upper-bound rule prunes states that cannot strictly improve on it
+    /// (see [`run_search`](crate::engine::run_search)).  Off by default: the
+    /// classic behaviour keeps states whose `f` merely *equals* the bound.
+    pub seed_incumbent: bool,
+    /// A complete schedule attained elsewhere (a cached near-match, an
+    /// anytime leg of a race), adopted as the starting incumbent only when
+    /// it beats the one the run would otherwise start from.  It must be
+    /// feasible for the problem being solved.
+    pub warm_start: Option<Schedule>,
+}
+
+impl SearchConfig {
+    /// The default configuration under the given limits.
+    pub fn limited(limits: SearchLimits) -> SearchConfig {
+        SearchConfig { limits, ..SearchConfig::default() }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -157,5 +193,17 @@ mod tests {
     #[test]
     fn heuristic_default_is_paper() {
         assert_eq!(HeuristicKind::default(), HeuristicKind::PaperStaticLevel);
+    }
+
+    #[test]
+    fn search_config_defaults_to_the_papers_astar() {
+        let c = SearchConfig::default();
+        assert_eq!(c.pruning, PruningConfig::all());
+        assert_eq!(c.heuristic, HeuristicKind::PaperStaticLevel);
+        assert_eq!(c.limits, SearchLimits::unlimited());
+        assert!(!c.seed_incumbent);
+        assert!(c.warm_start.is_none());
+        let limited = SearchConfig::limited(SearchLimits::expansions(3));
+        assert_eq!(limited.limits.max_expansions, Some(3));
     }
 }

@@ -6,21 +6,22 @@
 //! This module implements that search **once**:
 //!
 //! * [`run_search`] is the single OPEN/CLOSED run loop: frontier selection,
-//!   duplicate detection, [`SearchLimits`] enforcement, incumbent /
-//!   upper-bound handling and [`SearchStats`] accounting.  What
+//!   duplicate detection, [`SearchLimits`](crate::config::SearchLimits)
+//!   enforcement, incumbent / upper-bound handling and [`SearchStats`]
+//!   accounting, all configured by one [`SearchConfig`].  What
 //!   differentiates the algorithms — child evaluation, bound pruning and
 //!   expansion order — lives behind the [`FrontierPolicy`] trait
 //!   ([`policy`]): `AStarScheduler`, `AEpsScheduler`, `ChenYuScheduler` and
 //!   `ExhaustiveScheduler` are thin configurations over it.
 //! * [`StateArena`] ([`arena`]) stores generated states as parent-id +
 //!   [`ChildDelta`](crate::state::ChildDelta) records and materialises a full
-//!   [`SearchState`] only when a state is selected for expansion, replacing
-//!   the clone-per-generation layout (still available as
-//!   [`StoreKind::EagerClone`] for the before/after measurement).  The arena
-//!   is not tied to [`run_search`]: the parallel scheduler's PPE workers each
-//!   own one, using [`StateArena::materialise_owned`] to materialise states
-//!   on *send* (load sharing / best-state election) and [`StateArena::adopt`]
-//!   to re-root received full states as delta chains on the receiving side.
+//!   [`SearchState`] only when a state is selected for expansion; dead
+//!   chains are reclaimed by refcount.  The arena is not tied to
+//!   [`run_search`]: the parallel scheduler's PPE workers each own one,
+//!   shipping states as delta chains or snapshots
+//!   ([`StateArena::extract_chain`], [`StateArena::materialise_owned`]) and
+//!   re-rooting received ones ([`StateArena::adopt_chain`],
+//!   [`StateArena::adopt_snapshot`]).
 //! * [`expand_state`] is the shared per-child admission pipeline
 //!   (evaluate → bound-prune → duplicate-check), parameterised by the
 //!   [`DuplicateFilter`] hook; the parallel scheduler's PPE workers drive the
@@ -37,12 +38,12 @@ use optsched_obs as obs;
 use optsched_schedule::Schedule;
 use optsched_taskgraph::Cost;
 
-use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
+use crate::config::{HeuristicKind, PruningConfig, SearchConfig};
 use crate::problem::SchedulingProblem;
 use crate::state::{ChildDelta, SearchState, StateSignature};
 use crate::stats::{SearchOutcome, SearchResult, SearchStats};
 
-pub use arena::{ArenaConfig, StateArena, StateId, StoreKind};
+pub use arena::{StateArena, StateId};
 pub use policy::{
     focal_threshold, AStarPolicy, BoundPolicy, DfsPolicy, FocalPolicy, FrontierPolicy, OpenEntry,
     WeightedAStarPolicy,
@@ -144,11 +145,12 @@ pub fn expand_state<D: DuplicateFilter>(
 }
 
 /// Expansions between wall-clock reads when enforcing
-/// [`SearchLimits::max_millis`].  Reading the clock is a syscall; paying it
-/// on every expansion measurably slows deadline runs whose per-expansion
-/// work is cheap.  A cadence of 1024 expansions costs single-digit
-/// milliseconds of overshoot at worst — noise against any budget that is
-/// itself larger than [`TIME_CHECK_ALWAYS_BELOW_MS`].
+/// [`SearchLimits::max_millis`](crate::config::SearchLimits::max_millis).
+/// Reading the clock is a syscall; paying it on every expansion measurably
+/// slows deadline runs whose per-expansion work is cheap.  A cadence of
+/// 1024 expansions costs single-digit milliseconds of overshoot at worst —
+/// noise against any budget that is itself larger than
+/// [`TIME_CHECK_ALWAYS_BELOW_MS`].
 const TIME_CHECK_CADENCE: u64 = 1024;
 
 /// Budgets at or below this many milliseconds check the clock on *every*
@@ -157,7 +159,8 @@ const TIME_CHECK_CADENCE: u64 = 1024;
 /// expansion, the anytime contract the service relies on).
 const TIME_CHECK_ALWAYS_BELOW_MS: u64 = 16;
 
-/// Runs a complete search over `problem` under the given frontier policy.
+/// Runs a complete search over `problem` under the given frontier policy
+/// and [`SearchConfig`].
 ///
 /// This is the only OPEN/CLOSED run loop in the workspace's serial
 /// schedulers: the state with the policy's best value is removed from the
@@ -166,10 +169,11 @@ const TIME_CHECK_ALWAYS_BELOW_MS: u64 = 16;
 /// [`expand_state`] and the surviving children are stored in the
 /// [`StateArena`] and pushed back to the policy.
 ///
-/// With `seed_incumbent` the list-heuristic schedule is treated as an
-/// *attained* incumbent from the first expansion on: the length the policy's
-/// bound pruning starts from is capped at [`SchedulingProblem::upper_bound`]
-/// (the big win for branch-and-bound, whose own initial bound is infinite),
+/// With [`SearchConfig::seed_incumbent`] the list-heuristic schedule is
+/// treated as an *attained* incumbent from the first expansion on: the
+/// length the policy's bound pruning starts from is capped at
+/// [`SchedulingProblem::upper_bound`] (the big win for branch-and-bound,
+/// whose own initial bound is infinite),
 /// and the bound handed to [`FrontierPolicy::evaluate`] is tightened by one
 /// so children that cannot *strictly* improve on a schedule the search
 /// already holds are discarded.  Exhausting the frontier then *is* the
@@ -179,28 +183,23 @@ const TIME_CHECK_ALWAYS_BELOW_MS: u64 = 16;
 /// requires the policy to treat the passed incumbent length as an inclusive
 /// upper bound (`value > bound` ⇒ prune), which holds for every best-first
 /// policy here but *not* for [`DfsPolicy`]'s special goal handling — the
-/// exhaustive enumerator therefore never sets this flag (it effectively
-/// seeds already).  Off by default: with `false` the behaviour is
-/// bit-identical to the pre-knob engine.
+/// exhaustive enumerator therefore ignores this flag (it effectively seeds
+/// already).
 ///
-/// `warm_start` optionally hands the search a complete schedule attained by
-/// an earlier run (a cache near-match, a raced anytime leg).  It is adopted
-/// as the starting incumbent only when it beats the incumbent the search
-/// would otherwise start from, so `None` — and any warm schedule that is no
-/// better — leaves the run bit-identical to the unwarmed one.  The caller
+/// [`SearchConfig::warm_start`] optionally hands the search a complete
+/// schedule attained by an earlier run (a cache near-match, a raced anytime
+/// leg).  It is adopted as the starting incumbent only when it beats the
+/// incumbent the search would otherwise start from, so `None` — and any
+/// warm schedule that is no better — leaves the run bit-identical to the
+/// unwarmed one.  The caller
 /// must guarantee the schedule is feasible **for this problem**; the engine
 /// trusts it the same way it trusts the list schedule.
-#[allow(clippy::too_many_arguments)]
 pub fn run_search<P: FrontierPolicy>(
     problem: &SchedulingProblem,
     mut policy: P,
-    pruning: PruningConfig,
-    heuristic: HeuristicKind,
-    limits: SearchLimits,
-    store: ArenaConfig,
-    seed_incumbent: bool,
-    warm_start: Option<&Schedule>,
+    config: &SearchConfig,
 ) -> SearchResult {
+    let SearchConfig { pruning, heuristic, limits, seed_incumbent, ref warm_start } = *config;
     let start_time = Instant::now();
     // Observability: one timeline track per run, a span covering the whole
     // search, instants on every incumbent improvement and on the existing
@@ -209,7 +208,7 @@ pub fn run_search<P: FrontierPolicy>(
     let obs_track = if obs::enabled() { obs::next_track() } else { 0 };
     let _obs_span = obs::span("run_search", obs_track);
     let mut stats = SearchStats::default();
-    let mut arena = StateArena::new(problem, store);
+    let mut arena = StateArena::new(problem);
     let mut dup = SignatureSet::new();
     let mut seq: u64 = 0;
 
@@ -399,98 +398,30 @@ mod tests {
         assert_eq!(stats.duplicates, 1);
     }
 
-    /// Both store layouts drive the identical search: same optimum, same
-    /// counters; only the peak number of live full states differs.
+    /// The refcounted arena reclaims dead chains during a run: the live
+    /// record set stays below everything ever generated, and only the root
+    /// plus the scratch state are ever held in full.
     #[test]
-    fn store_layouts_produce_identical_searches() {
+    fn runs_reclaim_dead_chains() {
         let problem = example_problem();
-        let run = |store: StoreKind| {
-            run_search(
-                &problem,
-                AStarPolicy::new(true),
-                PruningConfig::all(),
-                HeuristicKind::PaperStaticLevel,
-                SearchLimits::unlimited(),
-                store.into(),
-                false,
-                None,
-            )
-        };
-        let eager = run(StoreKind::EagerClone);
-        let arena = run(StoreKind::DeltaArena);
-        assert_eq!(eager.schedule_length, 14);
-        assert_eq!(arena.schedule_length, 14);
-        assert_eq!(eager.stats.expanded, arena.stats.expanded);
-        assert_eq!(eager.stats.generated, arena.stats.generated);
-        assert_eq!(eager.stats.duplicates, arena.stats.duplicates);
-        assert!(
-            arena.stats.peak_live_states < eager.stats.peak_live_states,
-            "arena {} vs eager {}",
-            arena.stats.peak_live_states,
-            eager.stats.peak_live_states
-        );
+        let r = run_search(&problem, AStarPolicy::new(true), &SearchConfig::default());
+        assert_eq!(r.schedule_length, 14);
+        assert!(r.stats.reclaimed_records > 0, "dead chains are reclaimed");
+        assert!(r.stats.peak_live_records < r.stats.generated);
+        assert!(r.stats.peak_live_states <= 2, "peak {}", r.stats.peak_live_states);
     }
 
     #[test]
     fn dfs_policy_enumerates_to_the_optimum() {
         let problem = example_problem();
-        let r = run_search(
-            &problem,
-            DfsPolicy::new(),
-            PruningConfig::none(),
-            HeuristicKind::Zero,
-            SearchLimits::unlimited(),
-            ArenaConfig::default(),
-            false,
-            None,
-        );
+        let config = SearchConfig {
+            pruning: PruningConfig::none(),
+            heuristic: HeuristicKind::Zero,
+            ..SearchConfig::default()
+        };
+        let r = run_search(&problem, DfsPolicy::new(), &config);
         assert_eq!(r.outcome, SearchOutcome::Exhausted);
         assert_eq!(r.schedule_length, 14);
-    }
-
-    /// Reclamation and the path-cache are pure storage knobs: switching them
-    /// off must not move a single counter of the search itself, while the
-    /// default (on) run visibly reclaims records and bounds the live set.
-    #[test]
-    fn gc_and_path_cache_knobs_never_change_the_search() {
-        let problem = example_problem();
-        let run = |cfg: ArenaConfig| {
-            run_search(
-                &problem,
-                AStarPolicy::new(true),
-                PruningConfig::all(),
-                HeuristicKind::PaperStaticLevel,
-                SearchLimits::unlimited(),
-                cfg,
-                false,
-                None,
-            )
-        };
-        let on = run(ArenaConfig::default());
-        let off = run(ArenaConfig::default().with_gc(false).with_path_cache(0));
-        assert_eq!(on.schedule_length, off.schedule_length);
-        assert_eq!(
-            (on.stats.expanded, on.stats.generated, on.stats.duplicates),
-            (off.stats.expanded, off.stats.generated, off.stats.duplicates),
-            "storage lifecycle knobs leaked into search behaviour"
-        );
-        assert!(on.stats.reclaimed_records > 0, "default run reclaims dead chains");
-        assert_eq!(off.stats.reclaimed_records, 0, "gc off is append-only");
-        assert!(
-            on.stats.peak_live_records <= off.stats.peak_live_records,
-            "reclamation must not grow the live set: {} vs {}",
-            on.stats.peak_live_records,
-            off.stats.peak_live_records
-        );
-        assert!(
-            on.stats.peak_live_records < on.stats.generated,
-            "live records stay below the total ever generated"
-        );
-        assert_eq!(off.stats.path_cache_hits, 0, "cache disabled");
-        assert!(
-            on.stats.replayed_deltas <= off.stats.replayed_deltas,
-            "the path-cache must not lengthen replays"
-        );
     }
 
     /// The seeded mode prunes against the attained list incumbent (strictly)
@@ -499,17 +430,9 @@ mod tests {
     #[test]
     fn seeded_incumbent_stays_exact_and_never_expands_more() {
         let problem = example_problem();
-        let run = |seed| {
-            run_search(
-                &problem,
-                AStarPolicy::new(true),
-                PruningConfig::all(),
-                HeuristicKind::PaperStaticLevel,
-                SearchLimits::unlimited(),
-                ArenaConfig::default(),
-                seed,
-                None,
-            )
+        let run = |seed_incumbent| {
+            let config = SearchConfig { seed_incumbent, ..SearchConfig::default() };
+            run_search(&problem, AStarPolicy::new(true), &config)
         };
         let plain = run(false);
         let seeded = run(true);
@@ -536,16 +459,12 @@ mod tests {
     fn warm_start_only_ever_tightens_the_incumbent() {
         let problem = example_problem();
         let run = |warm: Option<&Schedule>| {
-            run_search(
-                &problem,
-                AStarPolicy::new(true),
-                PruningConfig::all(),
-                HeuristicKind::PaperStaticLevel,
-                SearchLimits::unlimited(),
-                ArenaConfig::default(),
-                true,
-                warm,
-            )
+            let config = SearchConfig {
+                seed_incumbent: true,
+                warm_start: warm.cloned(),
+                ..SearchConfig::default()
+            };
+            run_search(&problem, AStarPolicy::new(true), &config)
         };
         let plain = run(None);
         assert_eq!(plain.schedule_length, 14);

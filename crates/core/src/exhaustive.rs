@@ -15,8 +15,8 @@
 
 use optsched_taskgraph::Cost;
 
-use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
-use crate::engine::{run_search, ArenaConfig, DfsPolicy, StoreKind};
+use crate::config::{HeuristicKind, PruningConfig, SearchConfig, SearchLimits};
+use crate::engine::{run_search, DfsPolicy};
 use crate::problem::SchedulingProblem;
 use crate::stats::{SearchOutcome, SearchResult};
 
@@ -28,37 +28,22 @@ use crate::stats::{SearchOutcome, SearchResult};
 pub struct ExhaustiveScheduler<'a> {
     problem: &'a SchedulingProblem,
     limits: SearchLimits,
-    store: ArenaConfig,
 }
 
 impl<'a> ExhaustiveScheduler<'a> {
     /// Creates the enumerator.
     pub fn new(problem: &'a SchedulingProblem) -> Self {
-        ExhaustiveScheduler { problem, limits: SearchLimits::unlimited(), store: ArenaConfig::default() }
+        ExhaustiveScheduler { problem, limits: SearchLimits::unlimited() }
     }
 
-    /// Applies resource limits to the run (previously the enumerator ignored
-    /// them; on the engine they come for free).
-    pub fn with_limits(mut self, limits: SearchLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Selects the state-store layout (delta arena by default).
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store.kind = store;
-        self
-    }
-
-    /// Enables or disables refcounted arena reclamation (on by default).
-    pub fn with_arena_gc(mut self, gc: bool) -> Self {
-        self.store.gc = gc;
-        self
-    }
-
-    /// Sets the materialisation path-cache capacity (0 disables it).
-    pub fn with_path_cache(mut self, entries: u32) -> Self {
-        self.store.path_cache = entries;
+    /// Applies the limits of `config`.  Everything else is forced: no
+    /// pruning, `h = 0`, and never a seeded or warm-started incumbent —
+    /// `DfsPolicy`'s goal test treats the passed incumbent length with its
+    /// own strictness, and the engine pre-seeds the incumbent *schedule*
+    /// anyway, so the enumerator effectively starts from the list upper
+    /// bound already.
+    pub fn with_config(mut self, config: SearchConfig) -> Self {
+        self.limits = config.limits;
         self
     }
 
@@ -66,20 +51,12 @@ impl<'a> ExhaustiveScheduler<'a> {
     /// proof, so a run that was not cut short reports
     /// [`SearchOutcome::Optimal`].
     pub fn run(&self) -> SearchResult {
-        // Never seeded: `DfsPolicy`'s goal test treats the passed incumbent
-        // length with its own strictness, and the engine pre-seeds the
-        // incumbent *schedule* anyway, so the enumerator effectively starts
-        // from the list upper bound already.
-        let mut result = run_search(
-            self.problem,
-            DfsPolicy::new(),
-            PruningConfig::none(),
-            HeuristicKind::Zero,
-            self.limits,
-            self.store,
-            false,
-            None,
-        );
+        let config = SearchConfig {
+            pruning: PruningConfig::none(),
+            heuristic: HeuristicKind::Zero,
+            ..SearchConfig::limited(self.limits)
+        };
+        let mut result = run_search(self.problem, DfsPolicy::new(), &config);
         if result.outcome == SearchOutcome::Exhausted {
             result.outcome = SearchOutcome::Optimal;
         }
@@ -146,12 +123,12 @@ mod tests {
         assert!(r.stats.generated >= r.stats.expanded);
     }
 
-    /// The satellite requirement of the engine refactor: the enumerator now
-    /// honours `SearchLimits` instead of silently ignoring them.
+    /// The enumerator honours `SearchLimits` like every other scheduler.
     #[test]
     fn limits_are_honoured() {
         let prob = SchedulingProblem::new(paper_example_dag(), ProcNetwork::ring(3));
-        let r = ExhaustiveScheduler::new(&prob).with_limits(SearchLimits::expansions(2)).run();
+        let limited = SearchConfig::limited(SearchLimits::expansions(2));
+        let r = ExhaustiveScheduler::new(&prob).with_config(limited).run();
         assert_eq!(r.outcome, SearchOutcome::LimitReached);
         assert!(r.stats.expanded <= 2);
         // The incumbent falls back to the (feasible) list-heuristic schedule.
@@ -159,9 +136,9 @@ mod tests {
         s.validate(prob.graph(), prob.network()).unwrap();
         assert!(r.schedule_length >= 14);
 
-        let timed = ExhaustiveScheduler::new(&prob)
-            .with_limits(SearchLimits { max_millis: Some(0), ..Default::default() })
-            .run();
+        let zero_ms = SearchLimits { max_millis: Some(0), ..Default::default() };
+        let timed =
+            ExhaustiveScheduler::new(&prob).with_config(SearchConfig::limited(zero_ms)).run();
         assert_eq!(timed.outcome, SearchOutcome::LimitReached);
     }
 }

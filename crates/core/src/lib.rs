@@ -54,10 +54,10 @@ pub mod wastar;
 pub use aeps::AEpsScheduler;
 pub use astar::AStarScheduler;
 pub use bnb::ChenYuScheduler;
-pub use config::{HeuristicKind, PruningConfig, SearchLimits};
-pub use engine::{ArenaConfig, DuplicateFilter, FrontierPolicy, StateArena, StoreKind};
+pub use config::{HeuristicKind, PruningConfig, SearchConfig, SearchLimits};
+pub use engine::{DuplicateFilter, FrontierPolicy, StateArena};
 pub use exhaustive::{exhaustive_optimal, ExhaustiveScheduler};
 pub use wastar::WAStarScheduler;
-pub use problem::SchedulingProblem;
+pub use problem::{check_cost_ceiling, SchedulingProblem};
 pub use state::{ChildDelta, SearchState};
 pub use stats::{SearchOutcome, SearchResult, SearchStats};

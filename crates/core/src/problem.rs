@@ -2,9 +2,63 @@
 //! precomputed attributes shared by every search algorithm.
 
 use optsched_listsched::upper_bound_schedule;
-use optsched_procnet::{ProcId, ProcNetwork};
+use optsched_procnet::{CommModel, ProcId, ProcNetwork};
 use optsched_schedule::Schedule;
 use optsched_taskgraph::{Cost, GraphLevels, NodeId, TaskGraph};
+
+/// Ceiling on the worst-case makespan of an accepted instance (2^53).
+///
+/// Every cost the schedulers compute — start and finish times, static
+/// levels, `f = g + h`, the Chen & Yu bound — is at most a small multiple of
+/// the worst-case makespan, so below this ceiling no cost arithmetic can
+/// overflow `u64`, and every cost is exactly representable in the `f64` that
+/// Aε\*'s FOCAL threshold and weighted A\*'s ordering compute in.
+pub const MAX_WORST_CASE_MAKESPAN: Cost = 1 << 53;
+
+/// The worst-case makespan of scheduling `graph` on `network`: every task
+/// run back to back at the slowest cycle time plus every edge paid at its
+/// largest possible delay, `Σ w(n) · max cycle time + Σ c(e) · max delay
+/// factor` (the factor is 1 under uniform latency, the network's largest hop
+/// distance when delays scale with hops).  No schedule the list heuristic or
+/// any search builds, complete or partial, ends later.  `None` when the sum
+/// overflows `u64`.
+fn worst_case_makespan(graph: &TaskGraph, network: &ProcNetwork) -> Option<Cost> {
+    let max_cycle = network.proc_ids().map(|p| network.processor(p).cycle_time).max().unwrap_or(1);
+    let delay_factor = match network.comm_model() {
+        CommModel::UniformLatency => 1,
+        CommModel::HopScaled => network
+            .proc_ids()
+            .flat_map(|a| network.proc_ids().map(move |b| network.hops(a, b)))
+            .max()
+            .map_or(1, |h| u64::from(h.max(1))),
+    };
+    let work = graph
+        .node_ids()
+        .try_fold(0u64, |sum, n| sum.checked_add(graph.weight(n).checked_mul(max_cycle)?))?;
+    graph
+        .edges()
+        .iter()
+        .try_fold(work, |sum, e| sum.checked_add(e.weight.checked_mul(delay_factor)?))
+}
+
+/// Accepts `graph` on `network` only if its worst-case makespan — every
+/// task run back to back at the slowest cycle time plus every edge paid at
+/// its largest possible delay — fits under [`MAX_WORST_CASE_MAKESPAN`].
+/// Every front end — the service's wire format and the CLI — calls this
+/// before [`SchedulingProblem::new`], whose cost arithmetic it makes
+/// overflow-free; a rejection carries a message for the caller's structured
+/// error.
+pub fn check_cost_ceiling(graph: &TaskGraph, network: &ProcNetwork) -> Result<(), String> {
+    match worst_case_makespan(graph, network) {
+        Some(worst) if worst <= MAX_WORST_CASE_MAKESPAN => Ok(()),
+        worst => Err(format!(
+            "instance rejected: its worst-case makespan ({}) exceeds the cost ceiling \
+             of {MAX_WORST_CASE_MAKESPAN} (Σ node weight × max cycle time + Σ edge weight × \
+             max delay factor)",
+            worst.map_or_else(|| "more than u64::MAX".to_string(), |w| w.to_string())
+        )),
+    }
+}
 
 /// An instance of the static scheduling problem of Section 2: schedule every
 /// node of `graph` onto `network` so that the schedule length is minimal and
@@ -129,6 +183,44 @@ mod tests {
     use super::*;
     use optsched_procnet::ProcNetwork;
     use optsched_taskgraph::paper_example_dag;
+
+    #[test]
+    fn cost_ceiling_accepts_real_instances_and_rejects_overflowing_ones() {
+        let net = ProcNetwork::ring(3);
+        let example = paper_example_dag();
+        let worst = worst_case_makespan(&example, &net).unwrap();
+        let comm: Cost = example.edges().iter().map(|e| e.weight).sum();
+        assert_eq!(worst, example.total_computation() + comm);
+        assert!(check_cost_ceiling(&example, &net).is_ok());
+
+        // The two-node chain of `u64::MAX` weights that once panicked the
+        // list scheduler: its worst case does not even fit in a u64.
+        let mut b = optsched_taskgraph::GraphBuilder::new();
+        let (x, y) = (b.add_node(u64::MAX), b.add_node(u64::MAX));
+        b.add_edge(x, y, u64::MAX).unwrap();
+        let huge = b.build().unwrap();
+        assert_eq!(worst_case_makespan(&huge, &net), None);
+        let err = check_cost_ceiling(&huge, &net).unwrap_err();
+        assert!(err.contains("cost ceiling"), "{err}");
+
+        // Exactly at the ceiling is accepted, one past it is not; cycle
+        // times and hop-scaled delays count.
+        let single = |w| {
+            let mut b = optsched_taskgraph::GraphBuilder::new();
+            b.add_node(w);
+            b.build().unwrap()
+        };
+        let one = ProcNetwork::fully_connected(1);
+        assert!(check_cost_ceiling(&single(MAX_WORST_CASE_MAKESPAN), &one).is_ok());
+        assert!(check_cost_ceiling(&single(MAX_WORST_CASE_MAKESPAN + 1), &one).is_err());
+        let slow = ProcNetwork::fully_connected(2).with_cycle_times(&[1, 4]);
+        assert_eq!(worst_case_makespan(&single(5), &slow), Some(20));
+        let chain = ProcNetwork::chain(4).with_comm_model(CommModel::HopScaled);
+        let mut b = optsched_taskgraph::GraphBuilder::new();
+        let (x, y) = (b.add_node(1), b.add_node(1));
+        b.add_edge(x, y, 10).unwrap();
+        assert_eq!(worst_case_makespan(&b.build().unwrap(), &chain), Some(2 + 10 * 3));
+    }
 
     #[test]
     fn precomputations_on_the_example() {

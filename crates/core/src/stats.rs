@@ -45,9 +45,8 @@ pub struct SearchStats {
     /// Largest size of the OPEN list observed.
     pub max_open_size: usize,
     /// Largest number of fully materialised states the agent's *state store*
-    /// held live at once — the allocation proxy of the store.  With the
-    /// delta arena this is the root snapshot(s) plus one scratch state; with
-    /// the eager clone-per-generation store it is every state ever stored.
+    /// held live at once — the allocation proxy of the store: the arena's
+    /// root and snapshot records plus one scratch state.
     /// In the parallel scheduler this counts each PPE's arena; transfer
     /// clones parked in the inter-PPE channels (bounded by the `in_flight`
     /// gauge at any instant) are owned by no store and are *not* counted
@@ -55,12 +54,11 @@ pub struct SearchStats {
     pub peak_live_states: u64,
     /// Largest number of simultaneously live arena records (roots + delta
     /// records) the agent's state store held — the O(live frontier) memory
-    /// proxy of the refcounted arena.  With reclamation on this tracks the
-    /// frontier; with it off it equals the total ever stored.
+    /// proxy of the refcounted arena, which tracks the frontier rather than
+    /// the total ever stored.
     pub peak_live_records: u64,
     /// Arena records reclaimed by refcounted release cascades (pruned,
-    /// duplicate-dropped or shipped-away subtrees).  Zero with reclamation
-    /// disabled.
+    /// duplicate-dropped or shipped-away subtrees).
     pub reclaimed_records: u64,
     /// Delta-chain materialisations performed by the arena (full-snapshot
     /// fast-path reads are free and not counted).

@@ -30,10 +30,8 @@
 //! assert!(fast.schedule_length <= 28);
 //! ```
 
-use optsched_schedule::Schedule;
-
-use crate::config::{HeuristicKind, PruningConfig, SearchLimits};
-use crate::engine::{run_search, ArenaConfig, StoreKind, WeightedAStarPolicy};
+use crate::config::SearchConfig;
+use crate::engine::{run_search, WeightedAStarPolicy};
 use crate::problem::SchedulingProblem;
 use crate::stats::SearchResult;
 
@@ -42,17 +40,13 @@ use crate::stats::SearchResult;
 ///
 /// An outcome of [`SearchOutcome::Optimal`](crate::stats::SearchOutcome)
 /// means "completed with the `w`-bounded guarantee" (exactly optimal when
-/// `w = 1`), mirroring the Aε\* convention.
+/// `w = 1`), mirroring the Aε\* convention.  The configured heuristic is
+/// inflated only in the ordering.
 #[derive(Debug, Clone)]
 pub struct WAStarScheduler<'a> {
     problem: &'a SchedulingProblem,
     weight: f64,
-    pruning: PruningConfig,
-    heuristic: HeuristicKind,
-    limits: SearchLimits,
-    store: ArenaConfig,
-    seed_incumbent: bool,
-    warm_start: Option<Schedule>,
+    config: SearchConfig,
 }
 
 impl<'a> WAStarScheduler<'a> {
@@ -63,16 +57,7 @@ impl<'a> WAStarScheduler<'a> {
     /// Panics if `weight` is below 1 or not finite.
     pub fn new(problem: &'a SchedulingProblem, weight: f64) -> Self {
         assert!(weight.is_finite() && weight >= 1.0, "weight must be a finite number >= 1");
-        WAStarScheduler {
-            problem,
-            weight,
-            pruning: PruningConfig::all(),
-            heuristic: HeuristicKind::PaperStaticLevel,
-            limits: SearchLimits::unlimited(),
-            store: ArenaConfig::default(),
-            seed_incumbent: false,
-            warm_start: None,
-        }
+        WAStarScheduler { problem, weight, config: SearchConfig::default() }
     }
 
     /// The heuristic weight `w`.
@@ -80,69 +65,18 @@ impl<'a> WAStarScheduler<'a> {
         self.weight
     }
 
-    /// Selects which pruning techniques to use.
-    pub fn with_pruning(mut self, pruning: PruningConfig) -> Self {
-        self.pruning = pruning;
-        self
-    }
-
-    /// Selects the admissible heuristic (inflated only in the ordering).
-    pub fn with_heuristic(mut self, heuristic: HeuristicKind) -> Self {
-        self.heuristic = heuristic;
-        self
-    }
-
-    /// Applies resource limits to the run.
-    pub fn with_limits(mut self, limits: SearchLimits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// Selects the state-store layout (delta arena by default).
-    pub fn with_store(mut self, store: StoreKind) -> Self {
-        self.store.kind = store;
-        self
-    }
-
-    /// Enables or disables refcounted arena reclamation (on by default).
-    pub fn with_arena_gc(mut self, gc: bool) -> Self {
-        self.store.gc = gc;
-        self
-    }
-
-    /// Sets the materialisation path-cache capacity (0 disables it).
-    pub fn with_path_cache(mut self, entries: u32) -> Self {
-        self.store.path_cache = entries;
-        self
-    }
-
-    /// Treats the list-heuristic schedule as an attained incumbent (strict
-    /// upper-bound pruning; see [`run_search`]).  Off by default.
-    pub fn with_seeded_incumbent(mut self, seed: bool) -> Self {
-        self.seed_incumbent = seed;
-        self
-    }
-
-    /// Hands the search a complete schedule attained elsewhere as a candidate
-    /// starting incumbent (adopted only when strictly better; must be
-    /// feasible for this problem).
-    pub fn with_warm_start(mut self, warm: Option<Schedule>) -> Self {
-        self.warm_start = warm;
+    /// Replaces the search configuration (pruning, heuristic, limits and
+    /// starting incumbent).
+    pub fn with_config(mut self, config: SearchConfig) -> Self {
+        self.config = config;
         self
     }
 
     /// Runs the search to completion (or until a limit is hit).
     pub fn run(&self) -> SearchResult {
-        run_search(
-            self.problem,
-            WeightedAStarPolicy::new(self.weight, self.pruning.upper_bound_pruning),
-            self.pruning,
-            self.heuristic,
-            self.limits,
-            self.store,
-            self.seed_incumbent,
-            self.warm_start.as_ref(),
-        )
+        let policy =
+            WeightedAStarPolicy::new(self.weight, self.config.pruning.upper_bound_pruning);
+        run_search(self.problem, policy, &self.config)
     }
 }
 
@@ -150,6 +84,7 @@ impl<'a> WAStarScheduler<'a> {
 mod tests {
     use super::*;
     use crate::astar::AStarScheduler;
+    use crate::config::SearchLimits;
     use crate::stats::SearchOutcome;
     use optsched_procnet::ProcNetwork;
     use optsched_taskgraph::{paper_example_dag, Cost};
@@ -213,9 +148,8 @@ mod tests {
     #[test]
     fn zero_deadline_returns_the_list_incumbent() {
         let prob = example_problem();
-        let r = WAStarScheduler::new(&prob, 1.5)
-            .with_limits(SearchLimits { max_millis: Some(0), ..Default::default() })
-            .run();
+        let limits = SearchLimits { max_millis: Some(0), ..Default::default() };
+        let r = WAStarScheduler::new(&prob, 1.5).with_config(SearchConfig::limited(limits)).run();
         assert_eq!(r.outcome, SearchOutcome::LimitReached);
         let s = r.expect_schedule();
         s.validate(prob.graph(), prob.network()).unwrap();
@@ -225,7 +159,8 @@ mod tests {
     #[test]
     fn seeded_weighted_search_stays_within_bound() {
         let prob = example_problem();
-        let r = WAStarScheduler::new(&prob, 1.5).with_seeded_incumbent(true).run();
+        let seeded = SearchConfig { seed_incumbent: true, ..SearchConfig::default() };
+        let r = WAStarScheduler::new(&prob, 1.5).with_config(seeded).run();
         assert_eq!(r.outcome, SearchOutcome::Optimal);
         assert!(r.schedule_length <= 21); // 1.5 x 14
         r.expect_schedule().validate(prob.graph(), prob.network()).unwrap();

@@ -26,6 +26,8 @@
 //! threads that have already exited) sorted by timestamp; [`trace`] renders
 //! drained events as Chrome `trace_event` JSON.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod hist;
 mod ring;
 mod span;

@@ -71,11 +71,18 @@ pub struct EventRing {
     dropped: AtomicU64,
 }
 
-// SAFETY: every access to `slots`/`head` happens strictly inside a successful
+// SAFETY: `busy` and `dropped` are atomics, and every access to the
+// `UnsafeCell` slots and to `head` happens strictly inside a successful
 // `busy` compare-exchange acquire/release window, which serialises the owner
 // thread's writes against the drainer (and would serialise any number of
-// writers, though each ring has exactly one).
+// writers, though each ring has exactly one), so `&EventRing` may be shared
+// across threads.  Exercised by
+// `concurrent_push_and_take_account_for_every_event`.
 unsafe impl Sync for EventRing {}
+// SAFETY: the ring owns its slots outright (plain `Copy` events, no borrowed
+// or thread-bound data), so moving it to another thread is sound; the
+// registry's `Arc`s and `concurrent_push_and_take_account_for_every_event`
+// rely on it.
 unsafe impl Send for EventRing {}
 
 impl EventRing {
@@ -107,7 +114,10 @@ impl EventRing {
         }
         let head = self.head.load(Ordering::Relaxed);
         let slot = (head as usize) % RING_CAPACITY;
-        // SAFETY: `busy` is held (see the Sync impl).
+        // SAFETY: `try_acquire` succeeded above, so this thread holds `busy`
+        // and no other thread touches any slot until `release`.  Exercised by
+        // `ring_wraps_keeping_the_newest_events` and, under contention, by
+        // `concurrent_push_and_take_account_for_every_event`.
         unsafe { *self.slots[slot].get() = ev };
         self.head.store(head + 1, Ordering::Relaxed);
         self.release();
@@ -125,7 +135,10 @@ impl EventRing {
         let start = head as usize - len;
         let mut out = Vec::with_capacity(len);
         for i in start..head as usize {
-            // SAFETY: `busy` is held.
+            // SAFETY: the spin loop above acquired `busy`, so no writer
+            // touches the slots until `release`.  Exercised by
+            // `ring_wraps_keeping_the_newest_events` and, under contention, by
+            // `concurrent_push_and_take_account_for_every_event`.
             out.push(unsafe { *self.slots[i % RING_CAPACITY].get() });
         }
         self.head.store(0, Ordering::Relaxed);
@@ -230,5 +243,34 @@ mod tests {
         ring.release();
         ring.push(EMPTY);
         assert_eq!(ring.take().len(), 1);
+    }
+
+    /// A writer thread and a draining thread share one ring: every event is
+    /// either drained exactly once or counted as dropped, and what is
+    /// drained keeps write order.
+    #[test]
+    fn concurrent_push_and_take_account_for_every_event() {
+        const EVENTS: u64 = 4096; // below RING_CAPACITY: nothing wraps
+        let ring = std::sync::Arc::new(EventRing::new());
+        let writer = {
+            let ring = std::sync::Arc::clone(&ring);
+            std::thread::spawn(move || {
+                for i in 0..EVENTS {
+                    let mut ev = EMPTY;
+                    ev.ts_us = i;
+                    ring.push(ev);
+                }
+            })
+        };
+        let mut drained = Vec::new();
+        while !writer.is_finished() {
+            drained.extend(ring.take());
+        }
+        writer.join().expect("writer panicked");
+        drained.extend(ring.take());
+        assert_eq!(drained.len() as u64 + ring.dropped(), EVENTS);
+        for w in drained.windows(2) {
+            assert!(w[0].ts_us < w[1].ts_us, "drained events keep write order");
+        }
     }
 }

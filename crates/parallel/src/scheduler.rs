@@ -24,21 +24,18 @@
 //!   beat the incumbent (within the ε bound, if any) raises the global
 //!   termination flag.
 //!
-//! Since PR 4 each PPE stores its search frontier in a private
-//! [`StateArena`]: OPEN holds arena ids ordered by `(f, h, FIFO)`, generated
-//! children live as parent-id + [`ChildDelta`] records, and a full
-//! [`SearchState`] is built only when a state is selected for expansion
-//! (scratch replay).  Transfers between PPEs ship the state's *delta chain*
-//! (≤ v fixed-size records, extracted without materialising) rather than a
-//! full clone; the receiver re-roots the chain below its own slot-0 initial
-//! state, so a PPE's live full states stay at root-plus-scratch regardless of
-//! OPEN size or transfer volume.  With the refcounted arena (on by default)
-//! expanded, goal-popped and shipped-away states release their records, so
-//! the record count tracks the live frontier instead of the whole history.
-//! [`StoreKind::EagerClone`] retains the clone-per-generation layout — and
-//! full-clone transfers — as the measurable baseline; the `in_flight` gauge
+//! Each PPE stores its search frontier in a private [`StateArena`]: OPEN
+//! holds arena ids ordered by `(f, h, FIFO)`, generated children live as
+//! parent-id + [`ChildDelta`] records, and a full [`SearchState`] is built
+//! only when a state is selected for expansion (scratch replay).  A shallow
+//! state travels between PPEs as its *delta chain* (≤ v fixed-size records,
+//! extracted without materialising), which the receiver re-roots below its
+//! own slot-0 initial state; a deep one travels as one snapshot clone that
+//! the receiver adopts as a single record.  Expanded, goal-popped and
+//! shipped-away states release their records, so the record count tracks
+//! the live frontier instead of the whole history.  The `in_flight` gauge
 //! counts fixed-size *records* (one per scheduled node of a chain, `v` per
-//! full clone) so the two transfer forms are compared in the same unit.
+//! snapshot) so the two transfer forms are compared in the same unit.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
@@ -49,7 +46,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use optsched_core::engine::{
-    expand_state, ArenaConfig, DuplicateFilter, ExpansionContext, StateArena, StateId, StoreKind,
+    expand_state, DuplicateFilter, ExpansionContext, StateArena, StateId,
 };
 use optsched_core::state::{ChildDelta, StateSignature};
 use optsched_core::{SchedulingProblem, SearchOutcome, SearchState, SearchStats};
@@ -64,10 +61,16 @@ use crate::result::ParallelSearchResult;
 /// Number of FOCAL candidates inspected per selection in the ε-bounded mode.
 const FOCAL_SCAN_LIMIT: usize = 64;
 
+/// Largest number of states the `ShardedGlobal` best-state election ships in
+/// one phase when the receiver's published frontier minimum is *far* worse
+/// than this PPE's best `f` (empty, or more than 25% above).  Every batch
+/// member is still strictly better than the receiver's published minimum.
+const ELECTION_BATCH: usize = 4;
+
 /// An OPEN entry ordered by `(f, h, insertion counter)` ascending.  The
 /// state itself lives in the PPE's [`StateArena`]; the entry carries only its
 /// id plus the ordering key, so OPEN membership costs no live full state in
-/// the delta layout.
+/// the arena.
 struct HeapEntry {
     key: (Cost, Cost, u64),
     id: StateId,
@@ -91,25 +94,23 @@ impl Ord for HeapEntry {
     }
 }
 
-/// Transfer depth at or below which a delta arena ships the raw chain; any
-/// deeper and it materialises the state and ships one snapshot instead.  A
-/// shallow chain is a couple of fixed-size records — cheaper than a clone on
-/// both ends — but a deep one costs the receiver `d` record insertions plus a
-/// refcount cascade of `d` releases when the state dies, which is what kept
-/// the arena store behind the eager baseline on transfer-heavy runs.  A
-/// snapshot adopts (and reclaims) as one record and doubles as a nearby
-/// replay base for every descendant.
+/// Transfer depth at or below which an arena ships the raw chain; any deeper
+/// and it materialises the state and ships one snapshot instead.  A shallow
+/// chain is a couple of fixed-size records — cheaper than a clone on both
+/// ends — but a deep one costs the receiver `d` record insertions plus a
+/// refcount cascade of `d` releases when the state dies.  A snapshot adopts
+/// (and reclaims) as one record and doubles as a nearby replay base for
+/// every descendant.
 const SNAPSHOT_DEPTH_THRESHOLD: usize = 4;
 
 /// The wire form of a state travelling between PPEs.
 #[derive(Clone)]
 enum Payload {
-    /// A fully materialised clone — the eager store's native transfer form,
-    /// and the delta store's form for states deeper than
+    /// A fully materialised clone — the form of states deeper than
     /// [`SNAPSHOT_DEPTH_THRESHOLD`] (adopted as a single snapshot record).
     Full(SearchState),
     /// A root-anchored delta chain (depth-ordered, last delta carries the
-    /// state's true `g`/`h`) — the arena store's transfer form: at most `v`
+    /// state's true `g`/`h`) — the form of shallow states: at most `v`
     /// fixed-size [`ChildDelta`] records, extracted from the sender's arena
     /// without materialising and re-rooted below the receiver's slot-0
     /// initial state.
@@ -564,11 +565,8 @@ fn ppe_worker(
     let _obs_span = obs::span("ppe", obs_track).with_arg("ppe", id as u64);
     let mut stats = SearchStats::default();
     let mut open: BinaryHeap<HeapEntry> = BinaryHeap::new();
-    let mut arena = StateArena::new(
-        problem,
-        ArenaConfig::from(cfg.store).with_gc(cfg.arena_gc).with_path_cache(cfg.path_cache),
-    );
-    // Slot 0 is the problem's initial (empty) state: a delta arena re-roots
+    let mut arena = StateArena::new(problem);
+    // Slot 0 is the problem's initial (empty) state: the arena re-roots
     // every state received from another PPE as a delta chain below it, so
     // transfers never add live full states on the receiving side.
     arena.insert_root(SearchState::initial(problem));
@@ -746,9 +744,9 @@ fn ppe_worker(
         kept.clear();
         let mut popped_goal = false;
         {
-            // Materialise the selected state (scratch replay in the delta
-            // layout); the borrow lasts until the children collected in
-            // `kept` are stored, mirroring the serial engine's loop.
+            // Materialise the selected state (scratch replay); the borrow
+            // lasts until the children collected in `kept` are stored,
+            // mirroring the serial engine's loop.
             let state = arena.materialise(entry.id);
             if state.is_goal(problem) {
                 // Goal broadcast: publish and keep searching until the global
@@ -764,9 +762,8 @@ fn ppe_worker(
                 // admission pipeline: each candidate is evaluated
                 // allocation-free, pruned against the shared incumbent, and
                 // claimed through the duplicate-detection hook (private set
-                // or sharded global table); only survivors are stored — as
-                // delta records in the arena layout, materialised clones in
-                // the eager baseline.
+                // or sharded global table); only survivors are stored, as
+                // delta records.
                 expand_state(
                     ExpansionContext { problem, pruning: &cfg.pruning, heuristic: cfg.heuristic },
                     state,
@@ -858,7 +855,7 @@ fn ppe_worker(
                         if let Some((nb_min_f, Reverse(nb))) = target {
                             let far_worse =
                                 nb_min_f == u64::MAX || nb_min_f > best_f + (best_f >> 2);
-                            let batch = if far_worse { cfg.election_batch.max(1) } else { 1 };
+                            let batch = if far_worse { ELECTION_BATCH } else { 1 };
                             let mut shipped = 0u64;
                             for _ in 0..batch {
                                 if !open.peek().is_some_and(|e| e.key.0 < nb_min_f) {
@@ -913,9 +910,9 @@ fn ppe_worker(
                         open.push(k);
                     }
                     for (i, sid) in outgoing.into_iter().enumerate() {
-                        // Chain-on-send: the state leaves a delta arena as
-                        // its ≤ v-record delta chain (full clone from the
-                        // eager store).  Shipping transfers ownership (see
+                        // Chain-on-send: a shallow state leaves as its
+                        // ≤ v-record delta chain, a deep one as a snapshot
+                        // (see `extract_payload`).  Shipping transfers ownership (see
                         // `DupFilter::release`): the receiver force-inserts
                         // it, so the sole live copy of a claimed signature is
                         // never dropped by both sides of an exchange.
@@ -934,9 +931,8 @@ fn ppe_worker(
         }
     }
 
-    // The arena is the PPE's only holder of full states: every state in the
-    // eager layout, root + scratch (plus nothing per OPEN entry) in the
-    // delta layout.  The record counters report the O(live frontier)
+    // The arena is the PPE's only holder of full states: root + scratch plus
+    // adopted snapshots (nothing per OPEN entry).  The record counters report the O(live frontier)
     // behaviour of the refcounted store and the replay work behind it.
     stats.peak_live_states = arena.peak_live_full() as u64;
     stats.peak_live_records = arena.peak_live_records() as u64;
@@ -956,17 +952,13 @@ fn ppe_worker(
 }
 
 /// Builds the wire form of state `id` without disturbing the sender's store:
-/// a shallow delta-arena state leaves as its raw chain, a deep one (past
-/// [`SNAPSHOT_DEPTH_THRESHOLD`]) and every eager state as a materialised
-/// snapshot clone.
+/// a shallow state leaves as its raw chain, a deep one (past
+/// [`SNAPSHOT_DEPTH_THRESHOLD`]) as a materialised snapshot clone.
 fn extract_payload(arena: &mut StateArena<'_>, id: StateId) -> Payload {
-    match arena.kind() {
-        StoreKind::DeltaArena if arena.record_depth(id) <= SNAPSHOT_DEPTH_THRESHOLD => {
-            Payload::Chain(arena.extract_chain(id))
-        }
-        StoreKind::DeltaArena | StoreKind::EagerClone => {
-            Payload::Full(arena.materialise_owned(id))
-        }
+    if arena.record_depth(id) <= SNAPSHOT_DEPTH_THRESHOLD {
+        Payload::Chain(arena.extract_chain(id))
+    } else {
+        Payload::Full(arena.materialise_owned(id))
     }
 }
 
@@ -990,7 +982,7 @@ fn extract_owned(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optsched_core::{AStarScheduler, PruningConfig, SearchLimits, StoreKind};
+    use optsched_core::{AStarScheduler, PruningConfig, SearchLimits};
     use optsched_procnet::{ProcNetwork, Topology};
     use optsched_taskgraph::paper_example_dag;
     use optsched_workload::{generate_random_dag, RandomDagConfig};
@@ -1221,12 +1213,12 @@ mod tests {
         }
     }
 
-    /// The PR 4 tentpole, observed from the outside: both store layouts stay
-    /// exact and agree on the optimum, while the delta arena holds at most
-    /// the initial root plus one scratch state live per PPE — OPEN size and
-    /// transfer volume no longer cost full states.
+    /// The per-PPE arenas, observed from the outside: under maximal transfer
+    /// traffic the search stays exact while each PPE holds only roots,
+    /// scratch states and adopted snapshots live — OPEN size and transfer
+    /// volume cost no full states.
     #[test]
-    fn arena_store_matches_eager_store_with_tiny_live_footprint() {
+    fn arena_store_keeps_a_tiny_live_footprint() {
         let mut rng = StdRng::seed_from_u64(11);
         let g = generate_random_dag(
             &RandomDagConfig { nodes: 10, ccr: 1.0, ..Default::default() },
@@ -1245,20 +1237,13 @@ mod tests {
                 }
                 .with_duplicate_detection(mode);
                 let arena = ParallelAStarScheduler::new(&problem, cfg).run();
-                let eager = ParallelAStarScheduler::new(
-                    &problem,
-                    cfg.with_store(StoreKind::EagerClone),
-                )
-                .run();
-                assert!(arena.is_optimal() && eager.is_optimal(), "mode={mode}");
+                assert!(arena.is_optimal(), "mode={mode}");
                 assert_eq!(arena.schedule_length(), serial.schedule_length, "mode={mode}");
-                assert_eq!(eager.schedule_length(), serial.schedule_length, "mode={mode}");
-                // The delta arena's stores hold roots, scratch states and
-                // adopted snapshot transfers — a subset of the live records
-                // plus one scratch per PPE; the airtight headline
-                // additionally folds in the in-flight transfer peak (these
-                // eager-communication runs park real clones in the
-                // channels).  Only the delta store rebuilds by replay.
+                // The arenas hold roots, scratch states and adopted snapshot
+                // transfers — a subset of the live records plus one scratch
+                // per PPE; the airtight headline additionally folds in the
+                // in-flight transfer peak (these eager-communication runs
+                // park real clones in the channels).
                 assert!(
                     arena.total_stats().peak_live_states
                         <= arena.total_stats().peak_live_records + cfg.num_ppes as u64,
@@ -1268,25 +1253,47 @@ mod tests {
                 );
                 assert!(
                     arena.total_stats().replayed_deltas > 0,
-                    "mode={mode}: the delta store expands by replay"
-                );
-                assert_eq!(
-                    eager.total_stats().replayed_deltas,
-                    0,
-                    "mode={mode}: the eager store never replays"
+                    "mode={mode}: the arena expands by replay"
                 );
                 assert_eq!(
                     arena.peak_live_states(),
                     arena.total_stats().peak_live_states + arena.peak_in_flight,
                     "mode={mode}: headline must fold the in-flight peak in"
                 );
-                // The eager baseline's stores hold every stored state live.
-                assert!(
-                    eager.peak_live_states() > arena.total_stats().peak_live_states,
-                    "mode={mode}: eager {} vs arena {}",
-                    eager.peak_live_states(),
-                    arena.total_stats().peak_live_states
-                );
+            }
+        }
+    }
+
+    /// Transfer wire forms: a state at most [`SNAPSHOT_DEPTH_THRESHOLD`]
+    /// deep ships as its delta chain — one record per scheduled node, far
+    /// below the `v` records a full clone parks in flight — and a deeper one
+    /// as a single snapshot clone.  Both denote the sender's exact state.
+    #[test]
+    fn shallow_transfers_ship_chains_cheaper_than_full_clones() {
+        let mut rng = StdRng::seed_from_u64(42);
+        let g = generate_random_dag(
+            &RandomDagConfig { nodes: 10, ccr: 1.0, ..Default::default() },
+            &mut rng,
+        );
+        let problem = SchedulingProblem::new(g, ProcNetwork::fully_connected(3));
+        let h = optsched_core::HeuristicKind::PaperStaticLevel;
+        let mut arena = StateArena::new(&problem);
+        let mut id = arena.insert_root(SearchState::initial(&problem));
+        let mut state = SearchState::initial(&problem);
+        for depth in 1..=SNAPSHOT_DEPTH_THRESHOLD + 1 {
+            let node = state.ready_nodes(&problem)[0];
+            let delta = state.peek_child(&problem, node, optsched_procnet::ProcId(0), h);
+            id = arena.insert_child(id, &delta);
+            state.apply_delta_in_place(&problem, &delta);
+            let payload = extract_payload(&mut arena, id);
+            assert_eq!(payload.signature(&problem), state.signature(), "depth {depth}");
+            if depth <= SNAPSHOT_DEPTH_THRESHOLD {
+                assert!(matches!(payload, Payload::Chain(_)), "depth {depth} ships a chain");
+                assert_eq!(payload.records(&problem), depth as u64);
+                assert!(payload.records(&problem) < problem.num_nodes() as u64);
+            } else {
+                assert!(matches!(payload, Payload::Full(_)), "depth {depth} ships a snapshot");
+                assert_eq!(payload.records(&problem), problem.num_nodes() as u64);
             }
         }
     }

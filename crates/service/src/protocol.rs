@@ -12,6 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use optsched_core::check_cost_ceiling;
 use optsched_procnet::ProcNetwork;
 use optsched_schedule::Schedule;
 use optsched_taskgraph::{Cost, TaskGraph};
@@ -23,13 +24,32 @@ use optsched_workload::CorpusRequest;
 /// types, so a malformed instance (cyclic graph, dangling edge, unknown
 /// link endpoint, zero-speed processor, …) is rejected at parse time with a
 /// message naming the violated invariant — the service turns that into a
-/// structured error response instead of scheduling garbage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// structured error response instead of scheduling garbage.  The pair must
+/// also pass [`check_cost_ceiling`], so no accepted instance can overflow
+/// the schedulers' cost arithmetic.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Instance {
     /// The task graph to schedule.
     pub graph: TaskGraph,
     /// The target processor network.
     pub network: ProcNetwork,
+}
+
+impl Deserialize for Instance {
+    fn from_value(v: &serde::Value) -> Result<Instance, serde::Error> {
+        let pairs = v.as_object().ok_or_else(|| {
+            serde::Error::custom(format!(
+                "expected an object for `Instance`, found {}",
+                v.type_name()
+            ))
+        })?;
+        let graph = TaskGraph::from_value(serde::__field(pairs, "graph"))
+            .map_err(|e| serde::Error::custom(format!("field `graph` of `Instance`: {e}")))?;
+        let network = ProcNetwork::from_value(serde::__field(pairs, "network"))
+            .map_err(|e| serde::Error::custom(format!("field `network` of `Instance`: {e}")))?;
+        check_cost_ceiling(&graph, &network).map_err(serde::Error::custom)?;
+        Ok(Instance { graph, network })
+    }
 }
 
 impl Instance {

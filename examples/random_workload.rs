@@ -55,7 +55,8 @@ fn main() {
     let chen = ChenYuScheduler::new(&problem).run();
     row("Chen & Yu branch-and-bound", chen.schedule_length, chen.stats.generated, chen.stats.expanded, chen.elapsed.as_secs_f64() * 1e3);
 
-    let full = AStarScheduler::new(&problem).with_pruning(PruningConfig::none()).run();
+    let unpruned = SearchConfig { pruning: PruningConfig::none(), ..Default::default() };
+    let full = AStarScheduler::new(&problem).with_config(unpruned).run();
     row("A* without pruning", full.schedule_length, full.stats.generated, full.stats.expanded, full.elapsed.as_secs_f64() * 1e3);
 
     let pruned = AStarScheduler::new(&problem).run();

@@ -53,9 +53,9 @@ pub mod registry;
 pub mod prelude {
     pub use crate::registry::{Scheduler, SchedulerRegistry, SchedulerSpec, SearchReport};
     pub use optsched_core::{
-        exhaustive_optimal, AEpsScheduler, AStarScheduler, ArenaConfig, ChenYuScheduler,
-        ExhaustiveScheduler, HeuristicKind, PruningConfig, SchedulingProblem, SearchLimits,
-        SearchOutcome, SearchResult, SearchStats, StoreKind, WAStarScheduler,
+        exhaustive_optimal, AEpsScheduler, AStarScheduler, ChenYuScheduler, ExhaustiveScheduler,
+        HeuristicKind, PruningConfig, SchedulingProblem, SearchConfig, SearchLimits,
+        SearchOutcome, SearchResult, SearchStats, WAStarScheduler,
     };
     pub use optsched_listsched::{
         best_heuristic_schedule, list_schedule, upper_bound, upper_bound_schedule, ListConfig,

@@ -10,8 +10,8 @@
 
 use optsched_core::{
     AEpsScheduler, AStarScheduler, ChenYuScheduler, ExhaustiveScheduler, HeuristicKind,
-    PruningConfig, SchedulingProblem, SearchLimits, SearchOutcome, SearchResult, SearchStats,
-    StoreKind, WAStarScheduler,
+    PruningConfig, SchedulingProblem, SearchConfig, SearchLimits, SearchOutcome, SearchResult,
+    SearchStats, WAStarScheduler,
 };
 use optsched_listsched::upper_bound_schedule;
 use optsched_parallel::{ParallelAStarScheduler, ParallelConfig, ParallelSearchResult};
@@ -52,27 +52,14 @@ impl SearchReport {
 /// reads the knobs that apply to it.
 #[derive(Debug, Clone)]
 pub struct SchedulerSpec {
-    /// Resource limits (all families, including `exhaustive`).
+    /// Resource limits (all families, including `exhaustive` and, overriding
+    /// [`ParallelConfig::limits`], `parallel`).
     pub limits: SearchLimits,
     /// Pruning techniques (A\* family; Chen & Yu and exhaustive ignore it by
     /// construction).
     pub pruning: PruningConfig,
     /// Admissible heuristic (A\* family).
     pub heuristic: HeuristicKind,
-    /// State-store layout (`arena` by default) — applied to the serial
-    /// engine and to each PPE of the `parallel` family alike.  Like
-    /// [`SchedulerSpec::limits`], this spec-level knob *overrides* the
-    /// corresponding field of [`SchedulerSpec::parallel`] at dispatch time:
-    /// the spec is the front ends' single source of truth.
-    pub store: StoreKind,
-    /// Refcounted reclamation of dead delta chains in the state store (on by
-    /// default; never changes the search).  Applied, like
-    /// [`SchedulerSpec::store`], to the serial engine and to each PPE of the
-    /// `parallel` family, overriding [`ParallelConfig::arena_gc`].
-    pub arena_gc: bool,
-    /// Materialisation path-cache capacity of the state store (0 disables
-    /// it).  Same override semantics as [`SchedulerSpec::arena_gc`].
-    pub path_cache: u32,
     /// Approximation factor of `aeps` (also applied to `parallel` when
     /// [`ParallelConfig::epsilon`] is set there).
     pub epsilon: f64,
@@ -104,14 +91,26 @@ impl Default for SchedulerSpec {
             limits: SearchLimits::unlimited(),
             pruning: PruningConfig::all(),
             heuristic: HeuristicKind::default(),
-            store: StoreKind::default(),
-            arena_gc: true,
-            path_cache: 8,
             epsilon: 0.2,
             weight: 1.0,
             seed_incumbent: false,
             warm_start: None,
             parallel: ParallelConfig::default(),
+        }
+    }
+}
+
+impl SchedulerSpec {
+    /// The serial search configuration this spec describes, shared by
+    /// `astar`, `wastar`, `aeps`, `chenyu` and `exhaustive` (the last two
+    /// ignore the fields they force internally).
+    fn search_config(&self) -> SearchConfig {
+        SearchConfig {
+            pruning: self.pruning,
+            heuristic: self.heuristic,
+            limits: self.limits,
+            seed_incumbent: self.seed_incumbent,
+            warm_start: self.warm_start.clone(),
         }
     }
 }
@@ -129,8 +128,8 @@ pub fn parallel_to_search_result(r: &ParallelSearchResult) -> SearchResult {
 }
 
 /// Formats the arena path-cache hit rate (`path_cache_hits` over
-/// materialisations) for report lines; `"n/a"` when the run never
-/// materialised a state (eager store, or no expansions).
+/// materialisations) for report lines; `"n/a"` when the run never replayed
+/// a delta chain (no expansions, or every expanded state was held in full).
 pub fn path_cache_hit_rate(stats: &SearchStats) -> String {
     if stats.materialisations == 0 {
         "n/a".to_string()
@@ -161,16 +160,7 @@ impl Scheduler for AStarEntry {
     }
     fn run(&self, problem: &SchedulingProblem) -> SearchReport {
         SearchReport::plain(
-            AStarScheduler::new(problem)
-                .with_pruning(self.0.pruning)
-                .with_heuristic(self.0.heuristic)
-                .with_limits(self.0.limits)
-                .with_store(self.0.store)
-                .with_arena_gc(self.0.arena_gc)
-                .with_path_cache(self.0.path_cache)
-                .with_seeded_incumbent(self.0.seed_incumbent)
-                .with_warm_start(self.0.warm_start.clone())
-                .run(),
+            AStarScheduler::new(problem).with_config(self.0.search_config()).run(),
         )
     }
 }
@@ -185,14 +175,7 @@ impl Scheduler for WAStarEntry {
     fn run(&self, problem: &SchedulingProblem) -> SearchReport {
         SearchReport::plain(
             WAStarScheduler::new(problem, self.0.weight)
-                .with_pruning(self.0.pruning)
-                .with_heuristic(self.0.heuristic)
-                .with_limits(self.0.limits)
-                .with_store(self.0.store)
-                .with_arena_gc(self.0.arena_gc)
-                .with_path_cache(self.0.path_cache)
-                .with_seeded_incumbent(self.0.seed_incumbent)
-                .with_warm_start(self.0.warm_start.clone())
+                .with_config(self.0.search_config())
                 .run(),
         )
     }
@@ -208,14 +191,7 @@ impl Scheduler for AEpsEntry {
     fn run(&self, problem: &SchedulingProblem) -> SearchReport {
         SearchReport::plain(
             AEpsScheduler::new(problem, self.0.epsilon)
-                .with_pruning(self.0.pruning)
-                .with_heuristic(self.0.heuristic)
-                .with_limits(self.0.limits)
-                .with_store(self.0.store)
-                .with_arena_gc(self.0.arena_gc)
-                .with_path_cache(self.0.path_cache)
-                .with_seeded_incumbent(self.0.seed_incumbent)
-                .with_warm_start(self.0.warm_start.clone())
+                .with_config(self.0.search_config())
                 .run(),
         )
     }
@@ -230,14 +206,7 @@ impl Scheduler for ChenYuEntry {
     }
     fn run(&self, problem: &SchedulingProblem) -> SearchReport {
         SearchReport::plain(
-            ChenYuScheduler::new(problem)
-                .with_limits(self.0.limits)
-                .with_store(self.0.store)
-                .with_arena_gc(self.0.arena_gc)
-                .with_path_cache(self.0.path_cache)
-                .with_seeded_incumbent(self.0.seed_incumbent)
-                .with_warm_start(self.0.warm_start.clone())
-                .run(),
+            ChenYuScheduler::new(problem).with_config(self.0.search_config()).run(),
         )
     }
 }
@@ -251,12 +220,7 @@ impl Scheduler for ExhaustiveEntry {
     }
     fn run(&self, problem: &SchedulingProblem) -> SearchReport {
         SearchReport::plain(
-            ExhaustiveScheduler::new(problem)
-                .with_limits(self.0.limits)
-                .with_store(self.0.store)
-                .with_arena_gc(self.0.arena_gc)
-                .with_path_cache(self.0.path_cache)
-                .run(),
+            ExhaustiveScheduler::new(problem).with_config(self.0.search_config()).run(),
         )
     }
 }
@@ -287,16 +251,12 @@ impl Scheduler for ParallelEntry {
     }
     fn description(&self) -> String {
         format!(
-            "parallel A* ({} PPEs, {} duplicate detection, {} store)",
-            self.0.parallel.num_ppes, self.0.parallel.duplicate_detection, self.0.store
+            "parallel A* ({} PPEs, {} duplicate detection)",
+            self.0.parallel.num_ppes, self.0.parallel.duplicate_detection
         )
     }
     fn run(&self, problem: &SchedulingProblem) -> SearchReport {
-        let mut cfg = self.0.parallel;
-        cfg.limits = self.0.limits;
-        cfg.store = self.0.store;
-        cfg.arena_gc = self.0.arena_gc;
-        cfg.path_cache = self.0.path_cache;
+        let cfg = ParallelConfig { limits: self.0.limits, ..self.0.parallel };
         let r = ParallelAStarScheduler::new(problem, cfg).run();
         let totals = r.total_stats();
         let mut extras = vec![
@@ -433,61 +393,6 @@ mod tests {
         );
         let desc = reg.get("parallel").unwrap().description();
         assert!(desc.contains("sharded"), "{desc}");
-        assert!(desc.contains("arena store"), "{desc}");
-    }
-
-    /// `--store` is no longer silently ignored by the `parallel` family: the
-    /// spec's store reaches the PPE workers, visible as delta replay — only
-    /// the delta arena rebuilds states from delta records; the eager
-    /// baseline keeps every record as a full clone and never replays.
-    /// (Live-full-state counts no longer discriminate on a problem this
-    /// small: snapshot transfers give the arena a few full states per PPE.)
-    #[test]
-    fn store_knob_flows_through_to_the_parallel_family() {
-        let problem = example_problem();
-        let run = |store| {
-            let spec = SchedulerSpec { store, ..SchedulerSpec::default() };
-            SchedulerRegistry::with_spec(spec).get("parallel").unwrap().run(&problem)
-        };
-        let arena = run(StoreKind::DeltaArena);
-        let eager = run(StoreKind::EagerClone);
-        assert_eq!(arena.result.schedule_length, 14);
-        assert_eq!(eager.result.schedule_length, 14);
-        assert!(
-            arena.result.stats.replayed_deltas > 0,
-            "the delta store expands children by replaying their records"
-        );
-        assert_eq!(
-            eager.result.stats.replayed_deltas, 0,
-            "the eager store never stores a delta, so it never replays one"
-        );
-    }
-
-    /// The arena-lifecycle knobs reach both the serial engines and the PPE
-    /// workers: GC-off keeps `reclaimed_records` at zero (the PR 4/5
-    /// append-only store) while the default reclaims dead chains, and
-    /// neither setting moves the optimum.
-    #[test]
-    fn arena_gc_knob_flows_through() {
-        let problem = example_problem();
-        let run = |name: &str, gc: bool| {
-            let spec = SchedulerSpec { arena_gc: gc, ..SchedulerSpec::default() };
-            SchedulerRegistry::with_spec(spec).get(name).unwrap().run(&problem)
-        };
-        for name in ["astar", "parallel"] {
-            let on = run(name, true);
-            let off = run(name, false);
-            assert_eq!(on.result.schedule_length, 14, "{name}");
-            assert_eq!(off.result.schedule_length, 14, "{name}");
-            assert!(on.result.stats.reclaimed_records > 0, "{name}: GC on must reclaim");
-            assert_eq!(off.result.stats.reclaimed_records, 0, "{name}: GC off is append-only");
-            assert!(
-                on.result.stats.peak_live_records <= off.result.stats.peak_live_records,
-                "{name}: GC can only shrink the record high-water mark ({} vs {})",
-                on.result.stats.peak_live_records,
-                off.result.stats.peak_live_records
-            );
-        }
     }
 
     #[test]
@@ -496,6 +401,24 @@ mod tests {
         assert_eq!(path_cache_hit_rate(&none), "n/a");
         let some = SearchStats { materialisations: 8, path_cache_hits: 2, ..Default::default() };
         assert_eq!(path_cache_hit_rate(&some), "25.0% (2 of 8)");
+    }
+
+    #[test]
+    fn search_config_carries_every_serial_knob() {
+        let spec = SchedulerSpec {
+            limits: SearchLimits::expansions(3),
+            pruning: PruningConfig::none(),
+            heuristic: HeuristicKind::Zero,
+            seed_incumbent: true,
+            ..SchedulerSpec::default()
+        };
+        let config = spec.search_config();
+        assert_eq!(config.limits, spec.limits);
+        assert_eq!(config.pruning, PruningConfig::none());
+        assert_eq!(config.heuristic, HeuristicKind::Zero);
+        assert!(config.seed_incumbent);
+        assert!(config.warm_start.is_none());
+        assert_eq!(SchedulerSpec::default().search_config(), SearchConfig::default());
     }
 
     #[test]

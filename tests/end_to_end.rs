@@ -20,8 +20,8 @@ fn all_exact_algorithms_agree_on_random_workloads() {
             let problem = SchedulingProblem::new(graph, ProcNetwork::ring(3));
 
             let astar = AStarScheduler::new(&problem).run();
-            let astar_full =
-                AStarScheduler::new(&problem).with_pruning(PruningConfig::none()).run();
+            let unpruned = SearchConfig { pruning: PruningConfig::none(), ..Default::default() };
+            let astar_full = AStarScheduler::new(&problem).with_config(unpruned).run();
             let chen = ChenYuScheduler::new(&problem).run();
             let brute = exhaustive_optimal(&problem);
             let parallel =

@@ -8,9 +8,12 @@
 //! duplicate-detection order or tie-breaking shows up as a loud mismatch
 //! here, with the instance and family named.
 //!
-//! The suite also asserts that the two state-store layouts (eager
-//! clone-per-generation vs. the delta arena) drive bit-identical searches —
-//! the arena is a memory/time optimisation, never a behaviour change.
+//! The suite also asserts that the engine's delta arena drives the same
+//! search as the test-only clone-per-state reference A\*
+//! (`tests/reference/mod.rs`) — the arena is a memory/time optimisation,
+//! never a behaviour change.
+
+mod reference;
 
 use optsched::prelude::*;
 use rand::rngs::StdRng;
@@ -102,48 +105,26 @@ fn serial_expansion_counts_match_the_pre_refactor_implementations() {
 }
 
 /// The store layout is a pure memory/time trade: the eager
-/// clone-per-generation store and the delta arena must drive bit-identical
-/// searches for every family, with the arena holding (far) fewer live full
-/// states.
+/// clone-per-generation store — now the reference A\* under
+/// `tests/reference/` — and the engine's delta arena must drive identical
+/// searches: same optimum, same expansion, generation and duplicate counts,
+/// with and without the Section 3.2 pruning.
 #[test]
 fn eager_and_arena_stores_drive_identical_searches() {
     for (name, graph, net) in corpus() {
         let problem = SchedulingProblem::new(graph, net);
-        type Run = Box<dyn Fn(StoreKind) -> SearchResult>;
-        let runs: Vec<(&str, Run)> = vec![
-            ("astar", {
-                let p = problem.clone();
-                Box::new(move |s| AStarScheduler::new(&p).with_store(s).run())
-            }),
-            ("aeps", {
-                let p = problem.clone();
-                Box::new(move |s| AEpsScheduler::new(&p, 0.0).with_store(s).run())
-            }),
-            ("chenyu", {
-                let p = problem.clone();
-                Box::new(move |s| ChenYuScheduler::new(&p).with_store(s).run())
-            }),
-            ("exhaustive", {
-                let p = problem.clone();
-                Box::new(move |s| ExhaustiveScheduler::new(&p).with_store(s).run())
-            }),
-        ];
-        for (family, run) in runs {
-            if family == "exhaustive" && problem.num_nodes() > 7 {
-                continue; // brute force: keep the suite fast
-            }
-            let eager = run(StoreKind::EagerClone);
-            let arena = run(StoreKind::DeltaArena);
-            assert_eq!(eager.schedule_length, arena.schedule_length, "{name}/{family}");
-            assert_eq!(eager.outcome, arena.outcome, "{name}/{family}");
+        for pruning in [PruningConfig::all(), PruningConfig::none()] {
+            let heuristic = HeuristicKind::PaperStaticLevel;
+            let eager = reference::astar(&problem, pruning, heuristic);
+            let config = SearchConfig { pruning, heuristic, ..Default::default() };
+            let arena = AStarScheduler::new(&problem).with_config(config).run();
+            let ctx = format!("{name} ({})", pruning.describe());
+            assert!(arena.is_optimal(), "{ctx}");
+            assert_eq!(eager.schedule_length, arena.schedule_length, "{ctx}");
             assert_eq!(
-                (eager.stats.expanded, eager.stats.generated, eager.stats.duplicates),
+                (eager.expanded, eager.generated, eager.duplicates),
                 (arena.stats.expanded, arena.stats.generated, arena.stats.duplicates),
-                "{name}/{family}: stores must not change search behaviour"
-            );
-            assert!(
-                arena.stats.peak_live_states <= eager.stats.peak_live_states,
-                "{name}/{family}: the arena must not hold more live full states"
+                "{ctx}: the arena must not change search behaviour"
             );
         }
     }
@@ -156,9 +137,9 @@ fn eager_and_arena_stores_drive_identical_searches() {
 /// sharing and no thread races: it is a deterministic replay of the PPE
 /// worker loop, pinned here with the same re-pin-in-the-same-commit
 /// discipline as the serial literals above.  Captured at the PR 4
-/// arena-backed-worker change; the counts are identical across both
-/// duplicate-detection modes and both store layouts (asserted below), so any
-/// divergence between those paths is loud too.
+/// arena-backed-worker change (where the eager clone store matched them
+/// too); the counts are identical across both duplicate-detection modes
+/// (asserted below), so any divergence between those paths is loud too.
 const PINNED_PARALLEL_Q1: &[(&str, Cost, u64, u64)] = &[
     ("paper-example", 14, 34, 61),
     ("fork-join", 16, 10, 21),
@@ -182,37 +163,34 @@ fn single_ppe_parallel_counts_are_pinned_across_modes_and_stores() {
         assert_eq!(name, pname, "corpus order changed — re-pin the table");
         let problem = SchedulingProblem::new(graph, net);
         for mode in [DuplicateDetection::ShardedGlobal, DuplicateDetection::Local] {
-            for store in [StoreKind::DeltaArena, StoreKind::EagerClone] {
-                let cfg =
-                    ParallelConfig::exact(1).with_duplicate_detection(mode).with_store(store);
-                let r = ParallelAStarScheduler::new(&problem, cfg).run();
-                let ctx = format!("{name}: q=1 mode={mode} store={store}");
-                assert!(r.is_optimal(), "{ctx}");
-                assert_eq!(r.schedule_length(), optimum, "{ctx}");
-                let total = r.total_stats();
-                assert_eq!(
-                    (total.expanded, total.generated),
-                    (expanded, generated),
-                    "{ctx}: deterministic-replay counts drifted — if the change is \
-                     intentional, re-pin PINNED_PARALLEL_Q1 in the same commit"
-                );
-                assert_eq!(total.election_transfers, 0, "{ctx}: q=1 has no neighbours");
-            }
+            let cfg = ParallelConfig::exact(1).with_duplicate_detection(mode);
+            let r = ParallelAStarScheduler::new(&problem, cfg).run();
+            let ctx = format!("{name}: q=1 mode={mode}");
+            assert!(r.is_optimal(), "{ctx}");
+            assert_eq!(r.schedule_length(), optimum, "{ctx}");
+            let total = r.total_stats();
+            assert_eq!(
+                (total.expanded, total.generated),
+                (expanded, generated),
+                "{ctx}: deterministic-replay counts drifted — if the change is \
+                 intentional, re-pin PINNED_PARALLEL_Q1 in the same commit"
+            );
+            assert_eq!(total.election_transfers, 0, "{ctx}: q=1 has no neighbours");
         }
     }
 }
 
-/// `SearchLimits` now flow through every family, including the exhaustive
+/// `SearchLimits` flow through every family, including the exhaustive
 /// enumerator (which silently ignored them before the engine refactor).
 #[test]
 fn limits_flow_through_every_family() {
     let problem = SchedulingProblem::new(paper_example_dag(), ProcNetwork::ring(3));
-    let limits = SearchLimits::expansions(1);
+    let limited = SearchConfig::limited(SearchLimits::expansions(1));
     let outcomes = [
-        AStarScheduler::new(&problem).with_limits(limits).run().outcome,
-        AEpsScheduler::new(&problem, 0.2).with_limits(limits).run().outcome,
-        ChenYuScheduler::new(&problem).with_limits(limits).run().outcome,
-        ExhaustiveScheduler::new(&problem).with_limits(limits).run().outcome,
+        AStarScheduler::new(&problem).with_config(limited.clone()).run().outcome,
+        AEpsScheduler::new(&problem, 0.2).with_config(limited.clone()).run().outcome,
+        ChenYuScheduler::new(&problem).with_config(limited.clone()).run().outcome,
+        ExhaustiveScheduler::new(&problem).with_config(limited).run().outcome,
     ];
     for (i, o) in outcomes.iter().enumerate() {
         assert_eq!(*o, SearchOutcome::LimitReached, "family #{i}");
