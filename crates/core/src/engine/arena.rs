@@ -699,6 +699,44 @@ mod tests {
         assert!(!arena.is_empty());
     }
 
+    /// The two record layouts weigh differently in `peak_live_full`: every
+    /// snapshot is a full state held for its lifetime, while delta children
+    /// share the one scratch state they are materialised into.
+    #[test]
+    fn peak_live_full_counts_stores_differently() {
+        let problem = example_problem();
+        let h = HeuristicKind::PaperStaticLevel;
+        let root = SearchState::initial(&problem);
+        let moves: Vec<_> = root
+            .ready_nodes(&problem)
+            .into_iter()
+            .flat_map(|n| problem.network().proc_ids().map(move |p| (n, p)))
+            .collect();
+        assert!(moves.len() > 1);
+
+        // Clone-per-state layout: every child stored as a full snapshot.
+        let mut snapshots = StateArena::new(&problem);
+        snapshots.insert_root(root.clone());
+        for &(n, p) in &moves {
+            let child = root.schedule_node(&problem, n, p, h);
+            let id = snapshots.adopt_snapshot(child.clone());
+            assert_eq!(snapshots.materialise(id).signature(), child.signature());
+        }
+        assert_eq!(snapshots.peak_live_full(), 1 + moves.len(), "root plus every snapshot");
+        assert_eq!(snapshots.len(), 1 + moves.len());
+
+        // Delta layout: the same children as records against the root.
+        let mut delta = StateArena::new(&problem);
+        let r = delta.insert_root(root.clone());
+        for &(n, p) in &moves {
+            let c = delta.insert_child(r, &root.peek_child(&problem, n, p, h));
+            let want = root.schedule_node(&problem, n, p, h).signature();
+            assert_eq!(delta.materialise(c).signature(), want);
+        }
+        assert_eq!(delta.peak_live_full(), 2, "delta: the root plus one scratch state");
+        assert_eq!(delta.len(), 1 + moves.len());
+    }
+
     /// Releasing the last handle on a leaf reclaims the whole dead chain up
     /// to (but excluding) ancestors that still have live descendants, and the
     /// freed slots are reused by later insertions.

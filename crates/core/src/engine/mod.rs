@@ -411,6 +411,71 @@ mod tests {
         assert!(r.stats.peak_live_states <= 2, "peak {}", r.stats.peak_live_states);
     }
 
+    /// The arena is a pure memory trade: driving the same policy and
+    /// admission pipeline over a clone-per-state store (ids index a `Vec`
+    /// of full states) finds the same optimum with identical counts, while
+    /// holding every generated state in full.
+    #[test]
+    fn store_layouts_produce_identical_searches() {
+        let problem = example_problem();
+        let config = SearchConfig::default();
+        let arena = run_search(&problem, AStarPolicy::new(true), &config);
+
+        let mut policy = AStarPolicy::new(true);
+        let mut dup = SignatureSet::new();
+        let mut stats = SearchStats::default();
+        let mut states = vec![SearchState::initial(&problem)];
+        policy.push(OpenEntry { id: 0, f: 0, h: 0, value: 0, seq: 0 });
+        let incumbent = Cell::new(problem.upper_bound());
+        let goal_depth = problem.num_nodes() as u16;
+        let schedule_length = loop {
+            let entry = policy.pop().expect("the search reaches a goal");
+            let state = states[entry.id as usize].clone();
+            if state.is_goal(&problem) {
+                break state.g();
+            }
+            stats.expanded += 1;
+            let mut kept = Vec::new();
+            expand_state(
+                ExpansionContext {
+                    problem: &problem,
+                    pruning: &config.pruning,
+                    heuristic: config.heuristic,
+                },
+                &state,
+                &mut dup,
+                &mut stats,
+                |parent, delta, stats| {
+                    policy.evaluate(&problem, parent, delta, incumbent.get(), stats)
+                },
+                |parent, delta, value, _| {
+                    if parent.depth() + 1 == goal_depth {
+                        incumbent.set(incumbent.get().min(delta.g));
+                    }
+                    kept.push((parent.apply_delta(&problem, &delta), value));
+                },
+            );
+            for (child, value) in kept {
+                let id = StateId::try_from(states.len()).unwrap();
+                let seq = u64::from(id);
+                policy.push(OpenEntry { id, f: child.f(), h: child.h(), value, seq });
+                states.push(child);
+            }
+        };
+
+        assert_eq!(schedule_length, 14);
+        assert_eq!(arena.schedule_length, 14);
+        assert_eq!(stats.expanded, arena.stats.expanded);
+        assert_eq!(states.len() as u64, arena.stats.generated);
+        assert_eq!(stats.duplicates, arena.stats.duplicates);
+        assert!(
+            arena.stats.peak_live_states < states.len() as u64,
+            "arena {} vs clone-per-state {}",
+            arena.stats.peak_live_states,
+            states.len()
+        );
+    }
+
     #[test]
     fn dfs_policy_enumerates_to_the_optimum() {
         let problem = example_problem();
