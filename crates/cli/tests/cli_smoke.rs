@@ -449,3 +449,57 @@ fn batch_summary_reports_cache_lifecycle_counters_and_honours_max_age() {
         .unwrap_or_else(|| panic!("no expired counter in: {summary}"));
     assert!(expired > 0, "the duplicate lookups must have expired entries: {summary}");
 }
+
+/// Writes a small generated graph to a file named after `test`, so a run
+/// that rejects its flags before reading any input cannot race a stdin pipe.
+fn graph_file(test: &str) -> String {
+    let path = std::env::temp_dir().join(format!("optsched-{test}-{}.json", std::process::id()));
+    let path = path.to_str().expect("utf-8 temp path").to_string();
+    let generated = run(&["generate", "--nodes", "6", "--seed", "1", "--output", &path]);
+    assert!(generated.status.success());
+    path
+}
+
+/// Flags a subcommand does not take — including the removed
+/// `--store`/`--arena-gc`/`--path-cache`/`--election-batch` — fail the run
+/// with a message naming the flag, before any search starts.
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    let graph = graph_file("unknown-flags");
+    for flag in ["--store", "--arena-gc", "--path-cache", "--election-batch", "--bogus"] {
+        let out = run(&["schedule", "--input", &graph, "--algorithm", "parallel", flag, "1"]);
+        assert!(!out.status.success(), "{flag} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag `{flag}`")), "{flag}: {stderr}");
+        assert!(out.stdout.is_empty(), "{flag} still ran the search");
+    }
+    // A flag of another subcommand is unknown here too.
+    let out = run(&["requests", "--count", "2", "--workers", "2"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--workers`"));
+    std::fs::remove_file(graph).ok();
+}
+
+/// A value that does not parse is an error naming the flag, not a silent
+/// fallback to the default (`--ppes two` used to run with the default q).
+#[test]
+fn unparseable_flag_values_are_rejected_by_name() {
+    let graph = graph_file("unparseable-values");
+    for (flag, value) in [("--ppes", "two"), ("--procs", "3.5"), ("--topology", "torus"), ("--max-expansions", "lots")] {
+        let out = run(&["schedule", "--input", &graph, "--algorithm", "parallel", flag, value]);
+        assert!(!out.status.success(), "{flag} {value} was accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("invalid value `{value}` for `{flag}`")),
+            "{flag} {value}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{flag} {value} still ran the search");
+    }
+    let out = run(&["generate", "--nodes", "ten"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("`--nodes`"));
+    let out = run(&["serve", "--summary-interval-ms", "soon"]);
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("`--summary-interval-ms`"));
+    std::fs::remove_file(graph).ok();
+}

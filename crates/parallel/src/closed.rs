@@ -17,19 +17,28 @@
 //! signature on a strictly better claim as a defensive measure.
 //!
 //! Each shard is a lock-free chaining hash table of atomic bucket heads over
-//! immutable push-front nodes.  A claim hashes its signature, walks its
-//! bucket's chain (a fingerprint word short-circuits mismatched nodes; a
-//! match is always decided by full signature equality) and, if absent,
-//! publishes a heap node with one compare-and-swap on the head; a loser
-//! re-walks only the prefix its race inserted and retries.  Nodes are never
-//! removed or moved, so no locks, no spinning and no ABA; growth is a
+//! immutable push-front nodes.  A claim hashes its signature once (the low
+//! bits pick the shard, a finalizer of the same word picks the bucket),
+//! walks its bucket's chain (a fingerprint word short-circuits mismatched
+//! nodes; a match is always decided by full signature equality) and, if
+//! absent, publishes a heap node with one compare-and-swap on the head; a
+//! loser re-walks only the prefix its race inserted and retries.  Nodes are
+//! never removed or moved, so no locks, no spinning and no ABA; growth is a
 //! non-event — the load factor rises and chains lengthen gracefully
 //! (~`entries / 2^20` nodes per walk) instead of migrating or probing
 //! saturated windows.  The tests check the table against a `Mutex<HashMap>`
 //! model of the same protocol (`tests/reference/claims.rs`).
 //!
 //! Each shard keeps hit/miss/reopen counters with the exact
-//! `entries == misses` invariant.
+//! `entries == misses` invariant (a reopen updates its node in place), so
+//! the entry count is read from the counters, and every published node is
+//! also pushed once onto a per-shard list that `Drop` walks.  A table built
+//! for one solve therefore costs one zeroed bucket array (`2^20` heads,
+//! 8 MiB) plus work proportional to its claims: claiming, [`stats`],
+//! [`len`] and dropping never scan the buckets.
+//!
+//! [`stats`]: ShardedClosedTable::stats
+//! [`len`]: ShardedClosedTable::len
 //!
 //! Ownership of a claim travels with the state: when load sharing moves a
 //! state to another PPE, the receiver inserts it into its OPEN list without
@@ -116,6 +125,11 @@ enum ClaimKind {
 /// signatures, so chains average ~3 nodes at the largest searches this
 /// repository runs and the cost never cliffs (an earlier open-addressed
 /// design degraded to window-scanning whole saturated segments).
+///
+/// The array is the only per-table cost that does not scale with the
+/// claims: building a table zeroes it once (~0.36 ms), and nothing after
+/// that visits every head — counts come from the shard counters and `Drop`
+/// walks the published-node list.
 const TOTAL_BUCKET_BUDGET: usize = 1 << 20;
 
 /// Floor on the per-shard bucket array, so high shard counts keep useful
@@ -137,6 +151,10 @@ struct ClaimNode {
     /// The next node in the bucket chain.  Written only while the node is
     /// still privately owned (before its publishing CAS); immutable after.
     next: *mut ClaimNode,
+    /// The next node in the store's list of every published node.  Set
+    /// once, by the thread that published the node, right after its bucket
+    /// CAS; read only by `Drop` and the tests' list walk.
+    all_next: AtomicPtr<ClaimNode>,
 }
 
 /// The lock-free shard store: a fixed power-of-two array of bucket heads,
@@ -148,23 +166,29 @@ struct ClaimNode {
 /// head is still reachable and there is no ABA), then retries.  Growth is a
 /// non-event: load factor rises and chains lengthen gracefully instead of
 /// probing saturated windows.
+///
+/// The winner of a bucket CAS also pushes its node onto `all`, a push-only
+/// list threaded through [`ClaimNode::all_next`], so `Drop` frees exactly the
+/// published nodes without visiting the (mostly empty) bucket array.
 struct AtomicStore {
     buckets: Box<[AtomicPtr<ClaimNode>]>,
     mask: usize,
+    /// Head of the list of every published node, newest first.
+    all: AtomicPtr<ClaimNode>,
 }
 
 // SAFETY: `mask` is a plain immutable word, and the store owns every node
-// reachable from `buckets` (each leaked from a `Box` by exactly one
+// reachable from `buckets` and `all` (each leaked from a `Box` by exactly one
 // publishing CAS, holding only owned data and atomics) and frees them only in
 // `Drop`, so moving the store to another thread moves that ownership with it.
 // Exercised by `concurrent_claims_equal_a_serial_replay`, which drops its
 // table on a different thread from the ones that filled it.
 unsafe impl Send for AtomicStore {}
-// SAFETY: shared access reads `mask` and the bucket heads (atomics) and
-// never writes a published node except through its atomic `g`/`owner`
-// fields; `next` is written only before the node's publishing CAS, and
-// nodes are never unlinked or freed while `&self` is alive (only `Drop`,
-// which takes `&mut self`, frees them).  Exercised by
+// SAFETY: shared access reads `mask`, the bucket heads and `all` (atomics)
+// and never writes a published node except through its atomic
+// `g`/`owner`/`all_next` fields; `next` is written only before the node's
+// publishing CAS, and nodes are never unlinked or freed while `&self` is
+// alive (only `Drop`, which takes `&mut self`, frees them).  Exercised by
 // `concurrent_claims_equal_a_serial_replay` here and by
 // `closed_table_backends_agree_under_concurrency` in `tests/properties.rs`,
 // which race four threads on one table.
@@ -174,7 +198,7 @@ impl AtomicStore {
     fn new(num_buckets: usize) -> AtomicStore {
         let capacity = num_buckets.max(MIN_BUCKETS_PER_SHARD).next_power_of_two();
         let buckets = (0..capacity).map(|_| AtomicPtr::new(ptr::null_mut())).collect();
-        AtomicStore { buckets, mask: capacity - 1 }
+        AtomicStore { buckets, mask: capacity - 1, all: AtomicPtr::new(ptr::null_mut()) }
     }
 
     /// Walks `chain` (stopping at `until`, exclusive) for a node matching
@@ -205,8 +229,8 @@ impl AtomicStore {
         None
     }
 
-    fn try_claim(&self, sig: StateSignature, g: Cost, owner: u32) -> ClaimKind {
-        let h = slot_hash(&sig);
+    /// Claims `sig`, whose [`slot_hash`] is `h`.
+    fn try_claim(&self, sig: StateSignature, h: u64, g: Cost, owner: u32) -> ClaimKind {
         let fp = h | 1;
         let bucket = &self.buckets[(h as usize) & self.mask];
         let mut head = bucket.load(Ordering::Acquire);
@@ -222,11 +246,15 @@ impl AtomicStore {
             g: AtomicU64::new(g),
             owner: AtomicU32::new(owner),
             next: head,
+            all_next: AtomicPtr::new(ptr::null_mut()),
         });
         loop {
             let raw = Box::into_raw(node);
             match bucket.compare_exchange(head, raw, Ordering::AcqRel, Ordering::Acquire) {
-                Ok(_) => return ClaimKind::Fresh,
+                Ok(_) => {
+                    self.push_published(raw);
+                    return ClaimKind::Fresh;
+                }
                 Err(new_head) => {
                     // SAFETY: `raw` came from `Box::into_raw` just above and
                     // lost its CAS, so it was never published and this thread
@@ -246,15 +274,34 @@ impl AtomicStore {
         }
     }
 
-    fn find(&self, sig: &StateSignature) -> bool {
-        let h = slot_hash(sig);
+    /// Pushes a node that just won its bucket CAS onto the `all` list.
+    fn push_published(&self, raw: *mut ClaimNode) {
+        // SAFETY: `raw` was published by this thread's winning bucket CAS, so
+        // it stays allocated until `Drop`; the only field written here is the
+        // atomic `all_next`, which no claim or lookup reads.  Exercised by
+        // every fresh claim, concurrently by
+        // `concurrent_claims_equal_a_serial_replay`, whose list walk must
+        // find every entry exactly once.
+        let node = unsafe { &*raw };
+        let mut head = self.all.load(Ordering::Relaxed);
+        loop {
+            node.all_next.store(head, Ordering::Relaxed);
+            match self.all.compare_exchange_weak(head, raw, Ordering::Release, Ordering::Relaxed) {
+                Ok(_) => return,
+                Err(now) => head = now,
+            }
+        }
+    }
+
+    fn find(&self, sig: &StateSignature, h: u64) -> bool {
         let head = self.buckets[(h as usize) & self.mask].load(Ordering::Acquire);
         AtomicStore::walk(head, ptr::null_mut(), h | 1, sig).is_some()
     }
 
-    /// Chain nodes across all buckets (each claimed signature occupies
-    /// exactly one node, so this equals the entry count).
-    fn len(&self) -> usize {
+    /// Nodes reachable from the bucket heads: a full scan, kept for the
+    /// tests that check the `entries == misses` invariant against it.
+    #[cfg(test)]
+    fn chain_len(&self) -> usize {
         let mut n = 0;
         for bucket in self.buckets.iter() {
             let mut p = bucket.load(Ordering::Acquire);
@@ -262,10 +309,28 @@ impl AtomicStore {
                 n += 1;
                 // SAFETY: `p` is non-null and reachable from a bucket head,
                 // so it is a published node that stays allocated until
-                // `Drop`.  Exercised by every `len()` assertion in this
-                // module's tests.
+                // `Drop`.  Exercised by the chain-walk assertions of
+                // `concurrent_claims_equal_a_serial_replay`,
+                // `atomic_backend_survives_dense_single_shard_fill` and
+                // `better_g_reopens_a_signature`.
                 p = unsafe { &*p }.next;
             }
+        }
+        n
+    }
+
+    /// Nodes on the `all` list, the list `Drop` frees.
+    #[cfg(test)]
+    fn list_len(&self) -> usize {
+        let mut n = 0;
+        let mut p = self.all.load(Ordering::Acquire);
+        while !p.is_null() {
+            n += 1;
+            // SAFETY: `p` is non-null and reachable from `all`, so it is a
+            // published node that stays allocated until `Drop`.  Exercised by
+            // the list-walk assertions of the same three tests as
+            // `chain_len`.
+            p = unsafe { &*p }.all_next.load(Ordering::Acquire);
         }
         n
     }
@@ -273,17 +338,16 @@ impl AtomicStore {
 
 impl Drop for AtomicStore {
     fn drop(&mut self) {
-        for bucket in self.buckets.iter_mut() {
-            let mut p = *bucket.get_mut();
-            while !p.is_null() {
-                // SAFETY: `&mut self` means no concurrent readers; every
-                // non-null pointer was produced by `Box::into_raw`, published
-                // once and is visited once here, so it is freed exactly once.
-                // Exercised by every test that drops a used table, e.g.
-                // `atomic_backend_survives_dense_single_shard_fill`.
-                let node = unsafe { Box::from_raw(p) };
-                p = node.next;
-            }
+        let mut p = *self.all.get_mut();
+        while !p.is_null() {
+            // SAFETY: `&mut self` means no concurrent readers; every node on
+            // the `all` list was produced by `Box::into_raw`, won exactly one
+            // bucket CAS and was pushed exactly once, so it is freed exactly
+            // once.  Exercised by every test that drops a used table, e.g.
+            // `atomic_backend_survives_dense_single_shard_fill`, and across
+            // threads by `concurrent_claims_equal_a_serial_replay`.
+            let node = unsafe { Box::from_raw(p) };
+            p = node.all_next.load(Ordering::Relaxed);
         }
     }
 }
@@ -305,15 +369,15 @@ fn resolve_occupied(entry: &ClaimNode, g: Cost, owner: u32) -> ClaimKind {
     ClaimKind::Duplicate { owner: entry.owner.load(Ordering::Acquire) }
 }
 
-/// Within-shard slot hash: the shard index consumes the low bits of the
-/// signature hash, so the slot hash remixes the full word to keep bucket
+/// Within-shard slot hash of a signature hash `h`: the shard index consumes
+/// the low bits of `h`, so the slot hash remixes the full word to keep bucket
 /// indices independent of shard selection.  A bare odd-constant multiply is
 /// NOT enough here: it maps a fixed-low-bits residue class onto a stride
 /// lattice, leaving only `buckets / num_shards` of each shard's buckets
 /// reachable — the xor-shift finalizer (splitmix64's) restores full
 /// avalanche into the low bits the bucket mask reads.
-fn slot_hash(sig: &StateSignature) -> u64 {
-    let mut x = sig_hash(sig);
+fn slot_hash(h: u64) -> u64 {
+    let mut x = h;
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
@@ -321,6 +385,8 @@ fn slot_hash(sig: &StateSignature) -> u64 {
     x ^ (x >> 31)
 }
 
+/// The one hash of a signature a claim or lookup computes (SipHash over
+/// the whole signature); the shard and the bucket are both derived from it.
 fn sig_hash(sig: &StateSignature) -> u64 {
     let mut h = DefaultHasher::new();
     sig.hash(&mut h);
@@ -354,7 +420,8 @@ impl Shard {
 /// Counters of one shard, snapshot by [`ShardedClosedTable::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardCounters {
-    /// Signatures currently claimed in this shard.
+    /// Signatures currently claimed in this shard; equal to `misses` by
+    /// construction, and read from it.
     pub entries: usize,
     /// Claims that found the signature already present (duplicates dropped).
     pub hits: u64,
@@ -446,8 +513,10 @@ impl ShardedClosedTable {
         self.shards.len()
     }
 
-    fn shard_of(&self, sig: &StateSignature) -> &Shard {
-        &self.shards[(sig_hash(sig) as usize) & self.mask]
+    /// The shard of `sig` and the slot hash of `sig` within it.
+    fn locate(&self, sig: &StateSignature) -> (&Shard, u64) {
+        let h = sig_hash(sig);
+        (&self.shards[(h as usize) & self.mask], slot_hash(h))
     }
 
     /// Attempts to claim `sig` with cost `g` on behalf of PPE `owner`.
@@ -457,8 +526,8 @@ impl ShardedClosedTable {
     /// a strictly better `g` re-opens the signature (defensive: exact
     /// signatures imply equal `g`, so completeness is preserved either way).
     pub fn try_claim(&self, sig: StateSignature, g: Cost, owner: usize) -> ClaimOutcome {
-        let shard = self.shard_of(&sig);
-        match shard.store.try_claim(sig, g, owner as u32) {
+        let (shard, h) = self.locate(&sig);
+        match shard.store.try_claim(sig, h, g, owner as u32) {
             ClaimKind::Fresh => {
                 shard.misses.fetch_add(1, Ordering::Relaxed);
                 ClaimOutcome::Claimed
@@ -480,33 +549,49 @@ impl ShardedClosedTable {
 
     /// True if `sig` has been claimed.
     pub fn contains(&self, sig: &StateSignature) -> bool {
-        self.shard_of(sig).store.find(sig)
+        let (shard, h) = self.locate(sig);
+        shard.store.find(sig, h)
     }
 
-    /// Total signatures claimed across all shards.
+    /// Total signatures claimed across all shards (the `misses` counters:
+    /// each fresh claim publishes exactly one node and a reopen replaces in
+    /// place, so no bucket is scanned).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.store.len()).sum()
+        self.shards.iter().map(|s| s.misses.load(Ordering::Relaxed) as usize).sum()
     }
 
     /// True if no signature has been claimed yet.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.store.len() == 0)
+        self.shards.iter().all(|s| s.misses.load(Ordering::Relaxed) == 0)
     }
 
-    /// Snapshot of the per-shard counters.
+    /// Snapshot of the per-shard counters; O(shards), never O(buckets).
     pub fn stats(&self) -> ClosedTableStats {
         ClosedTableStats {
             per_shard: self
                 .shards
                 .iter()
-                .map(|s| ShardCounters {
-                    entries: s.store.len(),
-                    hits: s.hits.load(Ordering::Relaxed),
-                    misses: s.misses.load(Ordering::Relaxed),
-                    reopens: s.reopens.load(Ordering::Relaxed),
+                .map(|s| {
+                    let misses = s.misses.load(Ordering::Relaxed);
+                    ShardCounters {
+                        entries: misses as usize,
+                        hits: s.hits.load(Ordering::Relaxed),
+                        misses,
+                        reopens: s.reopens.load(Ordering::Relaxed),
+                    }
                 })
                 .collect(),
         }
+    }
+
+    /// Nodes found by walking every bucket chain and by walking every
+    /// shard's published-node list — the structures `stats()` does not
+    /// scan — for the tests to check `entries` against.
+    #[cfg(test)]
+    fn walked_entries(&self) -> (usize, usize) {
+        let chains = self.shards.iter().map(|s| s.store.chain_len()).sum();
+        let lists = self.shards.iter().map(|s| s.store.list_len()).sum();
+        (chains, lists)
     }
 }
 
@@ -552,6 +637,14 @@ mod tests {
         sigs
     }
 
+    /// `stats()` reads `entries` from the miss counters; the bucket chains
+    /// and the published-node list `Drop` frees must both hold exactly that
+    /// many nodes.
+    fn assert_walks_match_entries(table: &ShardedClosedTable) {
+        let entries = table.stats().total_entries();
+        assert_eq!(table.walked_entries(), (entries, entries), "(chain walk, list walk) vs entries");
+    }
+
     #[test]
     fn first_claim_wins_and_owners_are_tracked() {
         let table = ShardedClosedTable::new(4);
@@ -589,6 +682,7 @@ mod tests {
         assert_eq!(stats.total_reopens(), 1);
         assert_eq!(stats.total_hits(), 2);
         assert_eq!(stats.total_entries() as u64, stats.total_misses());
+        assert_walks_match_entries(&table);
     }
 
     #[test]
@@ -620,6 +714,7 @@ mod tests {
         let stats = table.stats();
         assert_eq!(stats.total_misses(), corpus.len() as u64);
         assert_eq!(stats.total_entries(), corpus.len());
+        assert_walks_match_entries(&table);
     }
 
     /// Stress test: q = 4 threads hammer one table with an overlapping
@@ -695,6 +790,8 @@ mod tests {
         assert_eq!(stats.total_hits() + stats.total_misses(), attempts);
         assert_eq!(stats.total_misses(), total_wins);
         assert_eq!(stats.total_entries(), corpus.len());
+        assert_walks_match_entries(&table);
+        assert_walks_match_entries(&replay);
 
         // The nodes the four threads published are freed on yet another one.
         std::thread::spawn(move || drop(table)).join().expect("drop thread panicked");
