@@ -1,4 +1,4 @@
-//! The Chen & Yu branch-and-bound baseline (reference [3] of the paper).
+//! The Chen & Yu branch-and-bound baseline (reference \[3\] of the paper).
 //!
 //! Chen and Yu's algorithm is a branch-and-bound-with-underestimates search
 //! for the same problem.  Its distinguishing feature — and the reason the

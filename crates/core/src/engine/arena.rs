@@ -26,6 +26,12 @@
 //!   materialisation walks its parent chain only until it meets the scratch
 //!   state, a cached ancestor or a full snapshot, whichever is nearest.
 //!
+//! **Record size.**  A record (`Slot`) is 48 bytes: the tag, the parent
+//! id and the 40-byte [`ChildDelta`] of a delta record, with full snapshots
+//! boxed behind the same tag (inline, a [`SearchState`] would make every
+//! record 136 bytes).  Each record also has a 4-byte refcount in a parallel
+//! vector.  `slot_layout_guard` in the tests pins the 48-byte bound.
+//!
 //! Neither mechanism changes the search: the test suite's clone-per-state
 //! reference A\* (`tests/reference/mod.rs`) expands and generates exactly
 //! what the engine does on top of this arena.
@@ -67,10 +73,11 @@ const COMPACT_RECLAIM_INTERVAL: u64 = 8192;
 const PATH_CACHE_SLOTS: usize = 8;
 
 /// One stored state: a full snapshot, a delta against its parent, or a freed
-/// slot awaiting reuse.
+/// slot awaiting reuse.  48 bytes (see the module docs).
 #[derive(Debug, Clone)]
 enum Slot {
-    Full(SearchState),
+    /// Boxed: snapshots are rare, and inline they would widen every record.
+    Full(Box<SearchState>),
     Delta { parent: StateId, delta: ChildDelta },
     Free,
 }
@@ -152,7 +159,7 @@ impl<'p> StateArena<'p> {
     /// Largest number of fully materialised states held at any point: the
     /// roots and adopted snapshots plus the scratch state.  This is the
     /// allocation proxy reported by `results/BENCH_serial.json`.  (The
-    /// path-cache's up to [`PATH_CACHE_SLOTS`] extra full states are a fixed
+    /// path-cache's up to `PATH_CACHE_SLOTS` (8) extra full states are a fixed
     /// overhead, not counted here.)
     pub fn peak_live_full(&self) -> usize {
         self.peak_live_full
@@ -240,7 +247,7 @@ impl<'p> StateArena<'p> {
     /// root (slot 0) is pinned: it anchors every delta chain and is never
     /// reclaimed.
     pub fn insert_root(&mut self, state: SearchState) -> StateId {
-        let id = self.alloc(Slot::Full(state));
+        let id = self.alloc(Slot::Full(Box::new(state)));
         if id == 0 {
             self.refs[0] += 1; // pin: delta chains always bottom out here
         }
@@ -324,7 +331,7 @@ impl<'p> StateArena<'p> {
     /// every outstanding handle (and the scratch/path-cache ids, which are
     /// invalidated eagerly on release) survives compaction unchanged.
     ///
-    /// Runs automatically every [`COMPACT_RECLAIM_INTERVAL`] reclaims when
+    /// Runs automatically every `COMPACT_RECLAIM_INTERVAL` (8192) reclaims when
     /// the trailing free run is at least a quarter of the vector; callers
     /// with a natural generation boundary (e.g. a service worker between
     /// requests) can invoke it directly.
@@ -378,7 +385,7 @@ impl<'p> StateArena<'p> {
         if self.slots.is_empty() {
             self.insert_root(SearchState::initial(self.problem));
         }
-        let id = self.alloc(Slot::Full(state));
+        let id = self.alloc(Slot::Full(Box::new(state)));
         self.note_live_full(1);
         id
     }
@@ -1100,6 +1107,12 @@ mod tests {
         let id = arena.adopt(deep.clone());
         assert_eq!(arena.materialise(id).signature(), deep.signature());
         assert_eq!(arena.materialise(0).depth(), 0, "slot 0 is the seeded initial state");
+    }
+
+    /// A record stays at 48 bytes: a field that re-inflates it fails here.
+    #[test]
+    fn slot_layout_guard() {
+        assert!(std::mem::size_of::<Slot>() <= 48, "{} bytes", std::mem::size_of::<Slot>());
     }
 
     #[test]

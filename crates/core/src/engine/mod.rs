@@ -14,8 +14,8 @@
 //!   ([`policy`]): `AStarScheduler`, `AEpsScheduler`, `ChenYuScheduler` and
 //!   `ExhaustiveScheduler` are thin configurations over it.
 //! * [`StateArena`] ([`arena`]) stores generated states as parent-id +
-//!   [`ChildDelta`](crate::state::ChildDelta) records and materialises a full
-//!   [`SearchState`] only when a state is selected for expansion; dead
+//!   [`ChildDelta`] records and materialises a full [`SearchState`] only
+//!   when a state is selected for expansion; dead
 //!   chains are reclaimed by refcount.  The arena is not tied to
 //!   [`run_search`]: the parallel scheduler's PPE workers each own one,
 //!   shipping states as delta chains or snapshots
@@ -26,12 +26,14 @@
 //!   (evaluate → bound-prune → duplicate-check), parameterised by the
 //!   [`DuplicateFilter`] hook; the parallel scheduler's PPE workers drive the
 //!   same pipeline with their sharded global CLOSED table behind the hook.
+//!   The hook sees each child's signature as a view of its parent's words
+//!   ([`ChildSignature`]); the serial engine's [`SignatureSet`] interns the
+//!   admitted ones, so expanding a state allocates no signature at all.
 
 pub mod arena;
 pub mod policy;
 
 use std::cell::Cell;
-use std::collections::HashSet;
 use std::time::Instant;
 
 use optsched_obs as obs;
@@ -40,7 +42,7 @@ use optsched_taskgraph::Cost;
 
 use crate::config::{HeuristicKind, PruningConfig, SearchConfig};
 use crate::problem::SchedulingProblem;
-use crate::state::{ChildDelta, SearchState, StateSignature};
+use crate::state::{ChildDelta, ChildSignature, SearchState};
 use crate::stats::{SearchOutcome, SearchResult, SearchStats};
 
 pub use arena::{StateArena, StateId};
@@ -58,13 +60,44 @@ pub trait DuplicateFilter {
     /// Decides whether the state identified by `sig` (with path cost `g`)
     /// is new.  Returns `false` — after updating the duplicate counters in
     /// `stats` — when an identical partial schedule was already seen.
-    fn admit(&mut self, sig: StateSignature, g: Cost, stats: &mut SearchStats) -> bool;
+    ///
+    /// `sig` borrows the parent's signature words; a filter that keeps the
+    /// signature copies it out ([`ChildSignature::to_signature`]).
+    fn admit(&mut self, sig: ChildSignature<'_>, g: Cost, stats: &mut SearchStats) -> bool;
 }
 
-/// The serial CLOSED ∪ OPEN seen-set: a plain hash set of state signatures.
+/// Signatures per storage chunk of a [`SignatureSet`].
+const SIGNATURE_CHUNK: usize = 1024;
+
+/// An empty index slot of a [`SignatureSet`].
+const EMPTY_SLOT: u64 = u64::MAX;
+
+/// The serial CLOSED ∪ OPEN seen-set: every admitted signature interned
+/// once.
+///
+/// The words of admitted signatures live back to back in chunks of 1024
+/// signatures (a growing set never moves stored words), addressed by a
+/// dense `u32` id.  An open-addressing, linear-probing table maps a
+/// signature's set hash to its id: each slot holds the id and the hash's
+/// high 32 bits, which pick the home slot and pre-filter the probe.
+/// A probe that passes the filter compares the child's words with the
+/// stored ones word for word — two signatures are never equated by hash
+/// alone.  The child arrives as a view of its parent's words, so admitting
+/// a child copies its words once, and rejecting a duplicate allocates
+/// nothing.  An entry costs its `8 · v` bytes of words plus 8 to 16 bytes
+/// of index (the table is kept between three eighths and three quarters
+/// full).
 #[derive(Debug, Default)]
 pub struct SignatureSet {
-    seen: HashSet<StateSignature>,
+    /// Words per signature (the node count), fixed by the first admission.
+    width: usize,
+    /// Number of interned signatures (the next id).
+    len: usize,
+    /// The interned words; chunk `c` holds ids `c * SIGNATURE_CHUNK ..`.
+    chunks: Vec<Vec<u64>>,
+    /// Open-addressing index, a power of two long and at most three
+    /// quarters full: `(hash >> 32) << 32 | id`, or [`EMPTY_SLOT`].
+    slots: Vec<u64>,
 }
 
 impl SignatureSet {
@@ -75,23 +108,71 @@ impl SignatureSet {
 
     /// Number of distinct signatures seen.
     pub fn len(&self) -> usize {
-        self.seen.len()
+        self.len
     }
 
     /// True if no signature has been admitted yet.
     pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
+        self.len == 0
+    }
+
+    /// The stored words of signature `id`.
+    #[inline]
+    fn words(&self, id: usize) -> &[u64] {
+        let at = (id % SIGNATURE_CHUNK) * self.width;
+        &self.chunks[id / SIGNATURE_CHUNK][at..at + self.width]
+    }
+
+    /// Doubles the index (allocating its first 64 slots when empty) and
+    /// re-places every entry by its stored hash bits.
+    fn grow(&mut self) {
+        let capacity = (self.slots.len() * 2).max(64);
+        let mask = capacity - 1;
+        let mut slots = vec![EMPTY_SLOT; capacity];
+        for &slot in self.slots.iter().filter(|&&s| s != EMPTY_SLOT) {
+            let mut pos = (slot >> 32) as usize & mask;
+            while slots[pos] != EMPTY_SLOT {
+                pos = (pos + 1) & mask;
+            }
+            slots[pos] = slot;
+        }
+        self.slots = slots;
     }
 }
 
 impl DuplicateFilter for SignatureSet {
-    fn admit(&mut self, sig: StateSignature, _g: Cost, stats: &mut SearchStats) -> bool {
-        if self.seen.insert(sig) {
-            true
-        } else {
-            stats.duplicates += 1;
-            false
+    fn admit(&mut self, sig: ChildSignature<'_>, _g: Cost, stats: &mut SearchStats) -> bool {
+        if self.len == 0 {
+            self.width = sig.len();
         }
+        debug_assert_eq!(sig.len(), self.width, "signatures of different problems");
+        if 4 * (self.len + 1) > 3 * self.slots.len() {
+            self.grow();
+        }
+        let tag = sig.set_hash() >> 32;
+        let mask = self.slots.len() - 1;
+        let mut pos = tag as usize & mask;
+        loop {
+            let slot = self.slots[pos];
+            if slot == EMPTY_SLOT {
+                break;
+            }
+            if slot >> 32 == tag && sig.matches(self.words(slot as u32 as usize)) {
+                stats.duplicates += 1;
+                return false;
+            }
+            pos = (pos + 1) & mask;
+        }
+        let id = u32::try_from(self.len).ok().filter(|&id| id != u32::MAX);
+        let id = id.expect("signature set overflowed its u32 ids");
+        self.slots[pos] = (tag << 32) | u64::from(id);
+        if self.len % SIGNATURE_CHUNK == 0 {
+            self.chunks.push(Vec::with_capacity(SIGNATURE_CHUNK * self.width));
+        }
+        let chunk = self.chunks.last_mut().expect("a chunk with room was pushed above");
+        sig.extend_into(chunk);
+        self.len += 1;
+        true
     }
 }
 
@@ -128,7 +209,7 @@ pub fn expand_state<D: DuplicateFilter>(
     if candidates.is_empty() {
         return;
     }
-    let parent_sig = state.signature();
+    let parent_sig = state.parent_signature();
     for (node, proc) in candidates {
         let delta = state.peek_child(ctx.problem, node, proc, ctx.heuristic);
         stats.heuristic_evaluations += 1;
@@ -136,8 +217,7 @@ pub fn expand_state<D: DuplicateFilter>(
             stats.pruned_upper_bound += 1;
             continue;
         };
-        let sig = parent_sig.with_assignment(delta.node, delta.proc, delta.start);
-        if !dup.admit(sig, delta.g, stats) {
+        if !dup.admit(parent_sig.child(delta.node, delta.proc, delta.start), delta.g, stats) {
             continue;
         }
         admit(state, delta, value, stats);
@@ -248,14 +328,14 @@ pub fn run_search<P: FrontierPolicy>(
 
     let mut kept: Vec<(ChildDelta, Cost)> = Vec::new();
     let outcome = loop {
-        let Some(entry) = policy.pop() else {
+        let Some(popped) = policy.pop() else {
             break SearchOutcome::Exhausted;
         };
         stats.max_open_size = stats.max_open_size.max(policy.open_len() + 1);
 
         kept.clear();
         {
-            let state = arena.materialise(entry.id);
+            let state = arena.materialise(popped);
 
             // Goal test at expansion time: under a best-first policy the
             // first goal removed from OPEN is optimal; under an enumerating
@@ -339,7 +419,7 @@ pub fn run_search<P: FrontierPolicy>(
 
         for &(delta, value) in &kept {
             seq += 1;
-            let id = arena.insert_child(entry.id, &delta);
+            let id = arena.insert_child(popped, &delta);
             policy.push(OpenEntry { id, f: delta.f(), h: delta.h, value, seq });
             stats.generated += 1;
         }
@@ -347,7 +427,7 @@ pub fn run_search<P: FrontierPolicy>(
         // any) hold it alive through their parent links; pruned-out or
         // childless states are reclaimed here, cascading up their dead
         // chains.
-        arena.release(entry.id);
+        arena.release(popped);
     };
 
     // A seeded search that exhausted its frontier has *proved* that nothing
@@ -378,8 +458,13 @@ pub fn run_search<P: FrontierPolicy>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use optsched_procnet::ProcNetwork;
-    use optsched_taskgraph::paper_example_dag;
+    use crate::problem::{check_cost_ceiling, MAX_WORST_CASE_MAKESPAN};
+    use crate::{AStarScheduler, ChenYuScheduler};
+    use optsched_procnet::{ProcId, ProcNetwork};
+    use optsched_taskgraph::{paper_example_dag, GraphBuilder, NodeId, TaskGraph};
+    use optsched_workload::{generate_random_dag, RandomDagConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn example_problem() -> SchedulingProblem {
         SchedulingProblem::new(paper_example_dag(), ProcNetwork::ring(3))
@@ -391,11 +476,99 @@ mod tests {
         let mut stats = SearchStats::default();
         let mut set = SignatureSet::new();
         assert!(set.is_empty());
-        let sig = SearchState::initial(&problem).signature();
-        assert!(set.admit(sig.clone(), 0, &mut stats));
+        let root = SearchState::initial(&problem);
+        let parent = root.parent_signature();
+        let sig = parent.child(NodeId(0), ProcId(0), 0);
+        assert!(set.admit(sig, 0, &mut stats));
         assert!(!set.admit(sig, 0, &mut stats));
         assert_eq!(set.len(), 1);
         assert_eq!(stats.duplicates, 1);
+        // A signature differing in one word (the start time) is new.
+        assert!(set.admit(parent.child(NodeId(0), ProcId(0), 1), 0, &mut stats));
+        assert_eq!((set.len(), stats.duplicates), (2, 1));
+    }
+
+    /// Two different signatures whose hashes collide in all 32 stored bits
+    /// are still told apart: a probe that passes the hash filter compares
+    /// the words, whether they differ before, at or after the patched word.
+    #[test]
+    fn signature_set_compares_words_not_just_hashes() {
+        let problem = example_problem();
+        let h = HeuristicKind::PaperStaticLevel;
+        let root = SearchState::initial(&problem);
+        let s1 = root.schedule_node(&problem, NodeId(0), ProcId(0), h);
+        let on = |n: u32, p: u32| s1.schedule_node(&problem, NodeId(n), ProcId(p), h);
+        // Parents differing only in node 1's word, and only in node 3's.
+        let (a, b, c, d) = (on(1, 0), on(1, 1), on(3, 0), on(3, 1));
+        let (pa, pb) = (a.parent_signature(), b.parent_signature());
+        let (pc, pd) = (c.parent_signature(), d.parent_signature());
+        // (stored, probe) pairs differing in one word: before, at and after
+        // the patched one.
+        let pairs = [
+            (pa.child(NodeId(3), ProcId(1), 9), pb.child(NodeId(3), ProcId(1), 9)),
+            (pa.child(NodeId(2), ProcId(2), 7), pa.child(NodeId(2), ProcId(2), 8)),
+            (pc.child(NodeId(1), ProcId(1), 9), pd.child(NodeId(1), ProcId(1), 9)),
+        ];
+        for (stored, probe) in pairs {
+            let mut set = SignatureSet::new();
+            let mut stats = SearchStats::default();
+            assert!(set.admit(stored, 0, &mut stats));
+            // Re-file the stored entry under the probe's hash bits at the
+            // probe's home slot: a full collision of the stored hash bits.
+            let tag = probe.set_hash() >> 32;
+            let mask = set.slots.len() - 1;
+            set.slots.fill(EMPTY_SLOT);
+            set.slots[tag as usize & mask] = tag << 32;
+            assert!(set.admit(probe, 0, &mut stats), "a hash match alone is no duplicate");
+            assert_eq!((set.len(), stats.duplicates), (2, 0));
+            assert!(!set.admit(probe, 0, &mut stats), "the probe itself is found");
+        }
+    }
+
+    /// Every node and edge weight of `graph` multiplied by `k`.
+    fn scaled(graph: &TaskGraph, k: Cost) -> TaskGraph {
+        let mut b = GraphBuilder::new();
+        for n in graph.node_ids() {
+            b.add_node(graph.weight(n) * k);
+        }
+        for e in graph.edges() {
+            b.add_edge(e.src, e.dst, e.weight * k).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// Scaling every cost by the largest `k` the cost ceiling accepts scales
+    /// the optimum by `k` and changes nothing else: A\* and Chen & Yu expand
+    /// and generate exactly what they do on the unscaled graph.  Start times
+    /// then reach up to 2^53, so this fails if the start field of a
+    /// signature word overlaps its processor field (two distinct partial
+    /// schedules would share a signature and one be dropped as a duplicate).
+    #[test]
+    fn scaled_costs_leave_the_search_unchanged() {
+        let mut rng = StdRng::seed_from_u64(5);
+        for round in 0..12 {
+            let config = RandomDagConfig { nodes: 5 + round % 3, ccr: 1.0, ..Default::default() };
+            let graph = generate_random_dag(&config, &mut rng);
+            let network = ProcNetwork::fully_connected(2 + round % 2);
+            let k = MAX_WORST_CASE_MAKESPAN
+                / (graph.total_computation() + graph.total_communication());
+            let big = scaled(&graph, k);
+            check_cost_ceiling(&big, &network).unwrap();
+            let small = SchedulingProblem::new(graph, network.clone());
+            let big = SchedulingProblem::new(big, network);
+            let runs = [
+                (AStarScheduler::new(&small).run(), AStarScheduler::new(&big).run()),
+                (ChenYuScheduler::new(&small).run(), ChenYuScheduler::new(&big).run()),
+            ];
+            for (algorithm, (a, b)) in ["astar", "chenyu"].into_iter().zip(runs) {
+                assert_eq!(b.schedule_length, k * a.schedule_length, "{algorithm} round {round}");
+                assert_eq!(
+                    (b.stats.expanded, b.stats.generated),
+                    (a.stats.expanded, a.stats.generated),
+                    "{algorithm} round {round}, k = {k}"
+                );
+            }
+        }
     }
 
     /// The refcounted arena reclaims dead chains during a run: the live
@@ -429,8 +602,8 @@ mod tests {
         let incumbent = Cell::new(problem.upper_bound());
         let goal_depth = problem.num_nodes() as u16;
         let schedule_length = loop {
-            let entry = policy.pop().expect("the search reaches a goal");
-            let state = states[entry.id as usize].clone();
+            let popped = policy.pop().expect("the search reaches a goal");
+            let state = states[popped as usize].clone();
             if state.is_goal(&problem) {
                 break state.g();
             }

@@ -8,6 +8,13 @@
 //! child is *evaluated* (and bound-pruned), and in which *order* frontier
 //! states are selected for expansion.  Each policy below is a few dozen
 //! lines; adding a new scheduler family means adding one more.
+//!
+//! **Record size.**  A frontier keeps, per state, only the key it orders by
+//! and the state's arena id, not the whole pushed [`OpenEntry`]: an A\*
+//! heap item (`(f, h, seq)` key plus id) is 32 bytes, a Chen & Yu or
+//! Aε\* `f`-heap item (`(value, seq)` key plus id) 24 bytes, and a
+//! depth-first stack item the 4-byte id.  `heap_item_layout_guard` in the
+//! tests pins these bounds.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -19,7 +26,8 @@ use crate::problem::SchedulingProblem;
 use crate::state::{ChildDelta, SearchState};
 use crate::stats::SearchStats;
 
-/// One OPEN-list entry: a stored state plus the costs the policies order by.
+/// One state entering OPEN: its arena id plus every cost a policy may order
+/// by.  Each policy stores only the fields its key uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpenEntry {
     /// Arena id of the state.
@@ -54,8 +62,8 @@ pub trait FrontierPolicy {
     /// Inserts a state into the frontier.
     fn push(&mut self, entry: OpenEntry);
 
-    /// Removes and returns the next state to expand.
-    fn pop(&mut self) -> Option<OpenEntry>;
+    /// Removes the next state to expand and returns its arena id.
+    fn pop(&mut self) -> Option<StateId>;
 
     /// Current frontier size (may include lazily deleted entries).
     fn open_len(&self) -> usize;
@@ -80,7 +88,8 @@ pub trait FrontierPolicy {
     }
 }
 
-/// A binary min-heap of [`OpenEntry`]s keyed by `K` (smallest key pops first).
+/// A binary min-heap of state ids keyed by `K` (smallest key pops first).
+/// An item is the key and the id, nothing else.
 #[derive(Debug)]
 struct MinHeap<K: Ord> {
     heap: BinaryHeap<Keyed<K>>,
@@ -89,7 +98,7 @@ struct MinHeap<K: Ord> {
 #[derive(Debug)]
 struct Keyed<K: Ord> {
     key: Reverse<K>,
-    entry: OpenEntry,
+    id: StateId,
 }
 
 impl<K: Ord> PartialEq for Keyed<K> {
@@ -114,16 +123,16 @@ impl<K: Ord> MinHeap<K> {
         MinHeap { heap: BinaryHeap::new() }
     }
 
-    fn push(&mut self, key: K, entry: OpenEntry) {
-        self.heap.push(Keyed { key: Reverse(key), entry });
+    fn push(&mut self, key: K, id: StateId) {
+        self.heap.push(Keyed { key: Reverse(key), id });
     }
 
-    fn pop(&mut self) -> Option<OpenEntry> {
-        self.heap.pop().map(|k| k.entry)
+    fn pop(&mut self) -> Option<StateId> {
+        self.heap.pop().map(|k| k.id)
     }
 
-    fn peek(&self) -> Option<&OpenEntry> {
-        self.heap.peek().map(|k| &k.entry)
+    fn peek(&self) -> Option<(&K, StateId)> {
+        self.heap.peek().map(|k| (&k.key.0, k.id))
     }
 
     fn len(&self) -> usize {
@@ -160,10 +169,10 @@ impl FrontierPolicy for AStarPolicy {
     }
 
     fn push(&mut self, entry: OpenEntry) {
-        self.open.push((entry.value, entry.h, entry.seq), entry);
+        self.open.push((entry.value, entry.h, entry.seq), entry.id);
     }
 
-    fn pop(&mut self) -> Option<OpenEntry> {
+    fn pop(&mut self) -> Option<StateId> {
         self.open.pop()
     }
 
@@ -225,10 +234,10 @@ impl FrontierPolicy for WeightedAStarPolicy {
     }
 
     fn push(&mut self, entry: OpenEntry) {
-        self.open.push((entry.value, entry.h, entry.seq), entry);
+        self.open.push((entry.value, entry.h, entry.seq), entry.id);
     }
 
-    fn pop(&mut self) -> Option<OpenEntry> {
+    fn pop(&mut self) -> Option<StateId> {
         self.open.pop()
     }
 
@@ -254,7 +263,9 @@ const NO_OPEN_SEQ: u64 = u64::MAX;
 pub struct FocalPolicy {
     epsilon: f64,
     prune_upper_bound: bool,
+    /// Keyed `(f, seq)`.
     open_f: MinHeap<(Cost, u64)>,
+    /// Keyed `(h, f, seq)`.
     open_h: MinHeap<(Cost, Cost, u64)>,
     /// Lazy-deletion marker: the `seq` of the live OPEN entry per state id
     /// ([`NO_OPEN_SEQ`] when the id is closed).  Keyed on `seq` rather than
@@ -275,8 +286,8 @@ impl FocalPolicy {
         }
     }
 
-    fn is_open(&self, entry: &OpenEntry) -> bool {
-        self.in_open.get(entry.id as usize).copied() == Some(entry.seq)
+    fn is_open(&self, id: StateId, seq: u64) -> bool {
+        self.in_open.get(id as usize).copied() == Some(seq)
     }
 
     fn mark(&mut self, id: StateId, seq: u64) {
@@ -303,16 +314,16 @@ impl FrontierPolicy for FocalPolicy {
 
     fn push(&mut self, entry: OpenEntry) {
         self.mark(entry.id, entry.seq);
-        self.open_f.push((entry.f, entry.seq), entry);
-        self.open_h.push((entry.h, entry.f, entry.seq), entry);
+        self.open_f.push((entry.f, entry.seq), entry.id);
+        self.open_h.push((entry.h, entry.f, entry.seq), entry.id);
     }
 
-    fn pop(&mut self) -> Option<OpenEntry> {
+    fn pop(&mut self) -> Option<StateId> {
         // Clean stale entries from the f-ordered heap and read fmin.
         let fmin = loop {
             match self.open_f.peek() {
                 None => return None,
-                Some(e) if self.is_open(e) => break e.f,
+                Some((&(f, seq), id)) if self.is_open(id, seq) => break f,
                 Some(_) => {
                     self.open_f.pop();
                 }
@@ -322,23 +333,24 @@ impl FrontierPolicy for FocalPolicy {
 
         // Prefer the smallest-h state within FOCAL; fall back to the
         // smallest-f state (which is trivially in FOCAL).
-        let mut chosen: Option<OpenEntry> = None;
-        while let Some(e) = self.open_h.peek() {
-            if !self.is_open(e) {
+        let mut chosen: Option<StateId> = None;
+        while let Some((&(_, f, seq), id)) = self.open_h.peek() {
+            if !self.is_open(id, seq) {
                 self.open_h.pop();
                 continue;
             }
-            if e.f <= threshold {
-                chosen = self.open_h.pop();
+            if f <= threshold {
+                self.open_h.pop();
+                chosen = Some(id);
             }
             break;
         }
-        let entry = match chosen {
-            Some(e) => e,
+        let id = match chosen {
+            Some(id) => id,
             None => self.open_f.pop().expect("fmin was just observed"),
         };
-        self.mark(entry.id, NO_OPEN_SEQ);
-        Some(entry)
+        self.mark(id, NO_OPEN_SEQ);
+        Some(id)
     }
 
     fn open_len(&self) -> usize {
@@ -384,10 +396,10 @@ where
     }
 
     fn push(&mut self, entry: OpenEntry) {
-        self.open.push((entry.value, entry.seq), entry);
+        self.open.push((entry.value, entry.seq), entry.id);
     }
 
-    fn pop(&mut self) -> Option<OpenEntry> {
+    fn pop(&mut self) -> Option<StateId> {
         self.open.pop()
     }
 
@@ -406,7 +418,7 @@ where
 /// frontier is the optimality proof.
 #[derive(Debug, Default)]
 pub struct DfsPolicy {
-    stack: Vec<OpenEntry>,
+    stack: Vec<StateId>,
 }
 
 impl DfsPolicy {
@@ -433,10 +445,10 @@ impl FrontierPolicy for DfsPolicy {
     }
 
     fn push(&mut self, entry: OpenEntry) {
-        self.stack.push(entry);
+        self.stack.push(entry.id);
     }
 
-    fn pop(&mut self) -> Option<OpenEntry> {
+    fn pop(&mut self) -> Option<StateId> {
         self.stack.pop()
     }
 
@@ -469,7 +481,7 @@ mod tests {
         p.push(entry(2, 4, 2, 2));
         p.push(entry(3, 4, 2, 3));
         assert_eq!(p.open_len(), 4);
-        let order: Vec<StateId> = std::iter::from_fn(|| p.pop()).map(|e| e.id).collect();
+        let order: Vec<StateId> = std::iter::from_fn(|| p.pop()).collect();
         assert_eq!(order, vec![2, 3, 1, 0]);
     }
 
@@ -481,8 +493,8 @@ mod tests {
             w.push(e);
             a.push(e);
         }
-        let worder: Vec<StateId> = std::iter::from_fn(|| w.pop()).map(|e| e.id).collect();
-        let aorder: Vec<StateId> = std::iter::from_fn(|| a.pop()).map(|e| e.id).collect();
+        let worder: Vec<StateId> = std::iter::from_fn(|| w.pop()).collect();
+        let aorder: Vec<StateId> = std::iter::from_fn(|| a.pop()).collect();
         assert_eq!(worder, aorder);
     }
 
@@ -494,8 +506,8 @@ mod tests {
         // equal f.
         p.push(OpenEntry { id: 0, f: 10, h: 8, value: 2 + 16, seq: 0 });
         p.push(OpenEntry { id: 1, f: 10, h: 1, value: 9 + 2, seq: 1 });
-        assert_eq!(p.pop().unwrap().id, 1);
-        assert_eq!(p.pop().unwrap().id, 0);
+        assert_eq!(p.pop().unwrap(), 1);
+        assert_eq!(p.pop().unwrap(), 0);
     }
 
     #[test]
@@ -517,12 +529,12 @@ mod tests {
         p.push(entry(0, 10, 9, 0)); // fmin, large h
         p.push(entry(1, 14, 1, 1)); // inside FOCAL (14 <= 15), smallest h
         p.push(entry(2, 16, 5, 2)); // outside FOCAL
-        assert_eq!(p.pop().unwrap().id, 1);
+        assert_eq!(p.pop().unwrap(), 1);
         // Now the h-ordered top is entry 2 (h = 5) but its f is above
         // floor(10 * 1.5) = 15: the policy only inspects the top of the
         // h-ordered heap, so it falls back to the smallest-f state (id 0).
-        assert_eq!(p.pop().unwrap().id, 0);
-        assert_eq!(p.pop().unwrap().id, 2);
+        assert_eq!(p.pop().unwrap(), 0);
+        assert_eq!(p.pop().unwrap(), 2);
         assert!(p.pop().is_none());
     }
 
@@ -534,9 +546,17 @@ mod tests {
         p.push(entry(2, 7, 0, 2));
         // FOCAL = { f == 5 }: the h-ordered top is id 2 (h = 0) but f = 7 > 5,
         // so the fallback pops the smallest-f entry (id 0, FIFO before 1).
-        assert_eq!(p.pop().unwrap().id, 0);
-        assert_eq!(p.pop().unwrap().id, 1);
-        assert_eq!(p.pop().unwrap().id, 2);
+        assert_eq!(p.pop().unwrap(), 0);
+        assert_eq!(p.pop().unwrap(), 1);
+        assert_eq!(p.pop().unwrap(), 2);
+    }
+
+    /// A heap item stays at 32 bytes: a field that re-inflates it fails here.
+    #[test]
+    fn heap_item_layout_guard() {
+        let astar = std::mem::size_of::<Keyed<(Cost, Cost, u64)>>();
+        assert!(astar <= 32, "{astar} bytes");
+        assert!(std::mem::size_of::<Keyed<(Cost, u64)>>() <= 24);
     }
 
     #[test]
@@ -546,7 +566,7 @@ mod tests {
         p.push(entry(1, 2, 0, 1));
         assert!(!p.goal_on_pop_is_final());
         assert!(!p.track_goals_at_generation());
-        assert_eq!(p.pop().unwrap().id, 1);
-        assert_eq!(p.pop().unwrap().id, 0);
+        assert_eq!(p.pop().unwrap(), 1);
+        assert_eq!(p.pop().unwrap(), 0);
     }
 }

@@ -6,6 +6,7 @@
 //! processor (appending after the processor's last task), and a goal state is
 //! a complete schedule.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 
 use optsched_procnet::ProcId;
@@ -17,8 +18,52 @@ use crate::config::{HeuristicKind, PruningConfig};
 use crate::problem::SchedulingProblem;
 use crate::stats::SearchStats;
 
-/// Marker for "not assigned to any processor yet".
-const UNASSIGNED: u16 = u16::MAX;
+/// Signature word of a node that is not scheduled yet.
+const UNSCHEDULED: u64 = u64::MAX;
+
+/// Width of the start-time field of a signature word; the processor index
+/// sits in the bits above it.  Every accepted instance's start times are at
+/// most [`MAX_WORST_CASE_MAKESPAN`](crate::problem::MAX_WORST_CASE_MAKESPAN)
+/// (2^53) and so fit in these bits, which keeps the two fields disjoint.
+const START_BITS: u32 = 54;
+
+/// Largest processor count a [`SchedulingProblem`] accepts (1024): processor
+/// indices must fit in the 10 bits above the 54-bit start field of a
+/// [`StateSignature`] word.  With a start of at most 2^53, no packed word
+/// can equal the `u64::MAX` marker of an unscheduled node either.
+pub const MAX_PROCS: usize = 1 << (64 - START_BITS);
+
+/// Packs one `(processor, start time)` assignment into a signature word.
+#[inline]
+fn pack(proc: ProcId, start: Cost) -> u64 {
+    debug_assert!(proc.index() < MAX_PROCS, "processor index exceeds the packed range");
+    debug_assert!(start < (1 << START_BITS), "start time exceeds the packed range");
+    ((proc.index() as u64) << START_BITS) | start
+}
+
+/// The processor field of a packed signature word.
+#[inline]
+fn word_proc(word: u64) -> ProcId {
+    ProcId((word >> START_BITS) as u32)
+}
+
+/// The start-time field of a packed signature word.
+#[inline]
+fn word_start(word: u64) -> Cost {
+    word & ((1 << START_BITS) - 1)
+}
+
+/// The contribution of node `index`'s word to a signature's set hash.  A
+/// signature's hash is the wrapping sum of this over its scheduled nodes,
+/// so a child's hash is its parent's plus one term.
+#[inline]
+fn mix(index: usize, word: u64) -> u64 {
+    // SplitMix64's finalizer over the word, offset by a per-node constant.
+    let mut z = word.wrapping_add((index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Exact identity of a partial schedule, used for duplicate detection.
 ///
@@ -27,29 +72,125 @@ const UNASSIGNED: u16 = u16::MAX;
 /// future expansions; only one needs to be kept.
 ///
 /// The representation packs, for every node, the pair `(processor, start
-/// time)` into one 64-bit word (`u64::MAX` marks an unscheduled node), so a
-/// signature is a single allocation and hashes quickly even for large graphs.
+/// time)` into one 64-bit word: the start in the low 54 bits, the processor
+/// index above it (`u64::MAX` marks an unscheduled node).  The fields are
+/// disjoint for every instance [`SchedulingProblem::new`] accepts (see
+/// [`MAX_PROCS`]), so equal words mean equal assignments.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StateSignature(Box<[u64]>);
 
 impl StateSignature {
-    /// Packs one `(processor, start time)` assignment into a signature word.
-    #[inline]
-    fn pack(proc: u64, start: Cost) -> u64 {
-        debug_assert!(start < (1 << 48), "start time exceeds the packed range");
-        (proc << 48) | start
-    }
-
     /// The signature of the child obtained from this (parent) signature by
     /// additionally scheduling `node` on `proc` at `start`.
     ///
     /// Equivalent to materialising the child and calling
     /// [`SearchState::signature`], at the cost of one word-slice clone.
     pub fn with_assignment(&self, node: NodeId, proc: ProcId, start: Cost) -> StateSignature {
-        let mut words = self.0.clone();
-        debug_assert_eq!(words[node.index()], u64::MAX, "node already scheduled in the parent");
-        words[node.index()] = StateSignature::pack(proc.index() as u64, start);
+        self.as_parent().child(node, proc, start).to_signature()
+    }
+
+    /// A borrowed view of this signature to describe children against.
+    pub fn as_parent(&self) -> ParentSignature<'_> {
+        ParentSignature::new(&self.0)
+    }
+}
+
+/// A borrowed signature that children are described against: the parent
+/// state's words plus their set hash, computed on first use only (the
+/// parallel scheduler's duplicate filters never ask for it).
+#[derive(Debug)]
+pub struct ParentSignature<'a> {
+    words: &'a [u64],
+    hash: Cell<Option<u64>>,
+}
+
+impl<'a> ParentSignature<'a> {
+    fn new(words: &'a [u64]) -> ParentSignature<'a> {
+        ParentSignature { words, hash: Cell::new(None) }
+    }
+
+    /// The signature of the child that additionally schedules `node` on
+    /// `proc` at `start`, as a view: nothing is copied or allocated.
+    #[inline]
+    pub fn child(&self, node: NodeId, proc: ProcId, start: Cost) -> ChildSignature<'_> {
+        debug_assert_eq!(self.words[node.index()], UNSCHEDULED, "node scheduled in the parent");
+        ChildSignature { parent: self, index: node.index(), word: pack(proc, start) }
+    }
+
+    /// The set hash of the parent's words (see [`mix`]), cached.
+    fn set_hash(&self) -> u64 {
+        if let Some(h) = self.hash.get() {
+            return h;
+        }
+        let h = self
+            .words
+            .iter()
+            .enumerate()
+            .filter(|&(_, &w)| w != UNSCHEDULED)
+            .fold(0u64, |sum, (i, &w)| sum.wrapping_add(mix(i, w)));
+        self.hash.set(Some(h));
+        h
+    }
+}
+
+/// The signature of a generated child, borrowed: its parent's words with
+/// one word patched.  This is what [`DuplicateFilter::admit`] receives; a
+/// filter that keeps signatures copies the words out only for children it
+/// admits ([`ChildSignature::to_signature`], or in place into an interned
+/// store).
+///
+/// [`DuplicateFilter::admit`]: crate::engine::DuplicateFilter::admit
+#[derive(Debug, Clone, Copy)]
+pub struct ChildSignature<'a> {
+    parent: &'a ParentSignature<'a>,
+    index: usize,
+    word: u64,
+}
+
+impl ChildSignature<'_> {
+    /// Number of words (the problem's node count).
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.parent.words.len()
+    }
+
+    /// True for the signature of a problem without nodes.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.parent.words.is_empty()
+    }
+
+    /// The owned signature: one allocation and a copy of the words.
+    pub fn to_signature(&self) -> StateSignature {
+        let mut words: Box<[u64]> = self.parent.words.into();
+        words[self.index] = self.word;
         StateSignature(words)
+    }
+
+    /// The set hash: the parent's plus the patched word's term.
+    #[inline]
+    pub(crate) fn set_hash(&self) -> u64 {
+        self.parent.set_hash().wrapping_add(mix(self.index, self.word))
+    }
+
+    /// True if `words` are exactly this signature's words, compared word for
+    /// word.
+    #[inline]
+    pub(crate) fn matches(&self, words: &[u64]) -> bool {
+        let (parent, i) = (self.parent.words, self.index);
+        words.len() == parent.len()
+            && words[i] == self.word
+            && words[..i] == parent[..i]
+            && words[i + 1..] == parent[i + 1..]
+    }
+
+    /// Appends this signature's words to `out`.
+    #[inline]
+    pub(crate) fn extend_into(&self, out: &mut Vec<u64>) {
+        let (parent, i) = (self.parent.words, self.index);
+        out.extend_from_slice(&parent[..i]);
+        out.push(self.word);
+        out.extend_from_slice(&parent[i + 1..]);
     }
 }
 
@@ -89,10 +230,10 @@ impl ChildDelta {
 #[derive(Debug, Clone)]
 pub struct SearchState {
     scheduled: BitSet,
-    /// Processor of each node (`UNASSIGNED` when unscheduled).
-    proc_of: Box<[u16]>,
-    /// Start time of each scheduled node.
-    start: Box<[Cost]>,
+    /// The signature words: processor and start time of each node, packed
+    /// ([`UNSCHEDULED`] when unscheduled).  Kept in signature form so the
+    /// duplicate check can borrow them instead of building a signature.
+    words: Box<[u64]>,
     /// Finish time of each scheduled node.
     finish: Box<[Cost]>,
     /// Ready time of each processor (finish of its last task).
@@ -119,8 +260,7 @@ impl SearchState {
             graph.node_ids().map(|n| graph.in_degree(n) as u16).collect();
         SearchState {
             scheduled: BitSet::new(v),
-            proc_of: vec![UNASSIGNED; v].into_boxed_slice(),
-            start: vec![0; v].into_boxed_slice(),
+            words: vec![UNSCHEDULED; v].into_boxed_slice(),
             finish: vec![0; v].into_boxed_slice(),
             proc_ready: vec![0; p].into_boxed_slice(),
             missing_preds: missing.into_boxed_slice(),
@@ -173,8 +313,8 @@ impl SearchState {
 
     /// Processor of `n`, if scheduled.
     pub fn proc_of(&self, n: NodeId) -> Option<ProcId> {
-        let p = self.proc_of[n.index()];
-        (p != UNASSIGNED).then(|| ProcId(u32::from(p)))
+        let w = self.words[n.index()];
+        (w != UNSCHEDULED).then(|| word_proc(w))
     }
 
     /// Finish time of `n`, if scheduled.
@@ -190,8 +330,7 @@ impl SearchState {
 
     /// True if no task has been placed on `p` yet.
     pub fn proc_is_empty(&self, p: ProcId) -> bool {
-        let pi = p.index() as u16;
-        !self.proc_of.contains(&pi)
+        !self.words.iter().any(|&w| w != UNSCHEDULED && word_proc(w) == p)
     }
 
     /// The ready nodes: unscheduled nodes whose predecessors are all scheduled.
@@ -211,7 +350,7 @@ impl SearchState {
         let mut est = self.proc_ready[p.index()];
         for &(parent, comm) in problem.graph().predecessors(n) {
             debug_assert!(self.is_scheduled(parent), "expanding a non-ready node");
-            let parent_proc = ProcId(u32::from(self.proc_of[parent.index()]));
+            let parent_proc = word_proc(self.words[parent.index()]);
             let arrival = self.finish[parent.index()] + net.comm_cost(comm, parent_proc, p);
             est = est.max(arrival);
         }
@@ -324,8 +463,7 @@ impl SearchState {
         let p = delta.proc;
         debug_assert!(!self.is_scheduled(n), "delta re-schedules an already scheduled node");
         self.scheduled.insert(n.index());
-        self.proc_of[n.index()] = p.index() as u16;
-        self.start[n.index()] = delta.start;
+        self.words[n.index()] = pack(p, delta.start);
         self.finish[n.index()] = delta.finish;
         self.proc_ready[p.index()] = delta.finish;
         self.num_scheduled += 1;
@@ -344,8 +482,7 @@ impl SearchState {
     /// problem instance, i.e. have identical slice lengths).
     pub fn copy_from(&mut self, other: &SearchState) {
         self.scheduled.copy_from(&other.scheduled);
-        self.proc_of.copy_from_slice(&other.proc_of);
-        self.start.copy_from_slice(&other.start);
+        self.words.copy_from_slice(&other.words);
         self.finish.copy_from_slice(&other.finish);
         self.proc_ready.copy_from_slice(&other.proc_ready);
         self.missing_preds.copy_from_slice(&other.missing_preds);
@@ -372,7 +509,7 @@ impl SearchState {
     /// (they are never observed — only the final slot of a chain is
     /// materialised); the final delta carries this state's true `h`.
     pub fn to_delta_chain(&self) -> Vec<ChildDelta> {
-        let mut assignments: Vec<NodeId> = (0..self.proc_of.len())
+        let mut assignments: Vec<NodeId> = (0..self.words.len())
             .filter(|&i| self.scheduled.contains(i))
             .map(|i| NodeId(i as u32))
             .collect();
@@ -384,8 +521,8 @@ impl SearchState {
             .enumerate()
             .map(|(i, &n)| ChildDelta {
                 node: n,
-                proc: ProcId(u32::from(self.proc_of[n.index()])),
-                start: self.start[n.index()],
+                proc: word_proc(self.words[n.index()]),
+                start: word_start(self.words[n.index()]),
                 finish: self.finish[n.index()],
                 // In ascending finish order the running schedule length is
                 // exactly the finish of the assignment just applied.
@@ -397,16 +534,13 @@ impl SearchState {
 
     /// The exact signature of this partial schedule (for duplicate detection).
     pub fn signature(&self) -> StateSignature {
-        let words: Vec<u64> = (0..self.proc_of.len())
-            .map(|i| {
-                if self.scheduled.contains(i) {
-                    StateSignature::pack(u64::from(self.proc_of[i]), self.start[i])
-                } else {
-                    u64::MAX
-                }
-            })
-            .collect();
-        StateSignature(words.into_boxed_slice())
+        StateSignature(self.words.clone())
+    }
+
+    /// This state's signature as a borrowed view to describe its children
+    /// against (no allocation).
+    pub fn parent_signature(&self) -> ParentSignature<'_> {
+        ParentSignature::new(&self.words)
     }
 
     /// Enumerates the `(ready node, processor)` pairs the expansion operator
@@ -446,7 +580,7 @@ impl SearchState {
         if config.processor_isomorphism {
             let mut kept_empty_reps: Vec<ProcId> = Vec::new();
             for p in problem.network().proc_ids() {
-                if self.proc_is_empty(p) && self.proc_ready[p.index()] == 0 {
+                if self.proc_ready[p.index()] == 0 && self.proc_is_empty(p) {
                     let rep = problem.interchange_representative(p);
                     if kept_empty_reps.contains(&rep) {
                         stats.pruned_processor_isomorphism += 1;
@@ -474,12 +608,8 @@ impl SearchState {
         let mut s = Schedule::new(problem.num_nodes(), problem.num_procs());
         for n in problem.graph().node_ids() {
             if self.is_scheduled(n) {
-                s.assign(
-                    n,
-                    ProcId(u32::from(self.proc_of[n.index()])),
-                    self.start[n.index()],
-                    self.finish[n.index()],
-                );
+                let w = self.words[n.index()];
+                s.assign(n, word_proc(w), word_start(w), self.finish[n.index()]);
             }
         }
         s

@@ -29,6 +29,8 @@
 //! let fast = WAStarScheduler::new(&problem, 2.0).run();
 //! assert!(fast.schedule_length <= 28);
 //! ```
+//!
+//! [`SearchLimits::max_millis`]: crate::config::SearchLimits::max_millis
 
 use crate::config::SearchConfig;
 use crate::engine::{run_search, WeightedAStarPolicy};

@@ -84,7 +84,8 @@ impl std::fmt::Debug for Histogram {
 /// An immutable copy of a [`Histogram`]; merges like a counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket counts (see [`bucket_bounds`] for the value ranges).
+    /// Per-bucket counts (bucket 0 counts zeros, bucket `i >= 1` the values
+    /// in `[2^(i-1), 2^i)`, the last bucket everything above).
     pub buckets: [u64; NUM_BUCKETS],
 }
 

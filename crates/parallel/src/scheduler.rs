@@ -48,7 +48,7 @@ use parking_lot::Mutex;
 use optsched_core::engine::{
     expand_state, DuplicateFilter, ExpansionContext, StateArena, StateId,
 };
-use optsched_core::state::{ChildDelta, StateSignature};
+use optsched_core::state::{ChildDelta, ChildSignature, StateSignature};
 use optsched_core::{SchedulingProblem, SearchOutcome, SearchState, SearchStats};
 use optsched_obs as obs;
 use optsched_schedule::Schedule;
@@ -212,9 +212,17 @@ enum DupFilter<'t> {
 }
 
 impl DuplicateFilter for DupFilter<'_> {
+    /// Decides whether a locally generated child should be kept: both modes
+    /// key on the owned signature.
+    fn admit(&mut self, sig: ChildSignature<'_>, g: Cost, stats: &mut SearchStats) -> bool {
+        self.admit_owned(sig.to_signature(), g, stats)
+    }
+}
+
+impl DupFilter<'_> {
     /// Decides whether a state entering OPEN should be kept, updating the
     /// duplicate counters.
-    fn admit(&mut self, sig: StateSignature, g: Cost, stats: &mut SearchStats) -> bool {
+    fn admit_owned(&mut self, sig: StateSignature, g: Cost, stats: &mut SearchStats) -> bool {
         match self {
             DupFilter::Local { seen } => {
                 if seen.insert(sig) {
@@ -237,9 +245,7 @@ impl DuplicateFilter for DupFilter<'_> {
             },
         }
     }
-}
 
-impl DupFilter<'_> {
     /// Admission check for a state received from another PPE.
     /// `owned_transfer` marks a state whose ownership was just transferred
     /// by load sharing or by the sharded-mode best-state election: in global
@@ -258,7 +264,7 @@ impl DupFilter<'_> {
         if owned_transfer && matches!(self, DupFilter::Global { .. }) {
             return true;
         }
-        self.admit(sig(), g, stats)
+        self.admit_owned(sig(), g, stats)
     }
 
     /// Called when a state is shipped away by load sharing or the sharded

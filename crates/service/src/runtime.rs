@@ -44,6 +44,11 @@
 //! the workers, which first drain every job still queued — a graceful drain,
 //! asserted by the soak test.  All [`Connection`]s must be finished first
 //! (they hold injector handles).
+//!
+//! [`ServiceConfig::workers`]: crate::ServiceConfig::workers
+//! [`ServiceConfig::admission_budget`]: crate::ServiceConfig::admission_budget
+//! [`ServiceConfig::degrade_threshold`]: crate::ServiceConfig::degrade_threshold
+//! [`ServiceMetrics::try_reserve_pending`]: crate::ServiceMetrics::try_reserve_pending
 
 use std::collections::{BTreeMap, HashMap};
 use std::io::{self, BufRead, Write};

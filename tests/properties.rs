@@ -496,8 +496,33 @@ fn cache_ops(seed: u64, n: usize) -> Vec<(bool, usize)> {
     (0..n).map(|_| ((next() % 2) == 0, (next() % 6) as usize)).collect()
 }
 
+/// A long admission stream takes the interned seen-set through several
+/// index growths and storage chunks, answering like the hash-set model
+/// throughout.
+#[test]
+fn signature_set_matches_the_model_across_growths() {
+    let r = reference::signatures::replay(10, 4, 64, 40_000, 7);
+    assert!(r.distinct > 4 * 1024, "{r:?}");
+    assert!(r.duplicates > 0, "{r:?}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
+
+    /// The interned seen-set gives the answer of a plain
+    /// `HashSet<StateSignature>` on every admission, and the same duplicate
+    /// count, over small value ranges dense in repeats and in children that
+    /// differ from a stored signature in one word.
+    #[test]
+    fn signature_set_matches_a_hash_set_model(
+        seed in any::<u64>(),
+        width in 4usize..=12,
+        procs in 1u32..=3,
+        starts in 1u64..=8,
+    ) {
+        let r = reference::signatures::replay(width, procs, starts, 3000, seed);
+        prop_assert!(r.duplicates > 0, "{:?}", r);
+    }
 
     /// The LRU cache against a reference model: for any op sequence the
     /// shard never exceeds its capacity, lookups hit exactly when the model

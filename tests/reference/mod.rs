@@ -12,13 +12,17 @@
 //!   strictly better `g` re-opens it, anything else is a duplicate reporting
 //!   the holder.  It imports nothing from the workspace, so the unit tests of
 //!   `crates/parallel/src/closed.rs` include the same file.
+//! * [`signatures::replay`] — the serial engine's interned `SignatureSet`
+//!   against a plain `HashSet<StateSignature>` under one random admission
+//!   stream.
 //!
-//! Both follow the idiom of the cache-LRU model in `tests/properties.rs`:
+//! All follow the idiom of the cache-LRU model in `tests/properties.rs`:
 //! small enough to be obviously right, run side by side with the real thing.
 
 #![allow(dead_code)] // each test binary uses its own subset
 
 pub mod claims;
+pub mod signatures;
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashSet};
