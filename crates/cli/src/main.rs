@@ -69,7 +69,7 @@ use optsched::registry::{path_cache_hit_rate, SchedulerRegistry, SchedulerSpec};
 use optsched_core::{
     check_cost_ceiling, AStarScheduler, SchedulingProblem, SearchLimits, SearchOutcome,
 };
-use optsched_procnet::{ProcNetwork, Topology};
+use optsched_procnet::{ProcNetwork, Topology, MAX_PROCS};
 use optsched_schedule::{render_gantt, Schedule};
 use optsched_service::{run_service, serve_tcp, Request, SchedulingService, ServiceConfig};
 use optsched_taskgraph::{paper_example_dag, GraphLevels, TaskGraph};
@@ -222,23 +222,26 @@ fn load_graph(args: &Args) -> Result<TaskGraph, String> {
 
 fn build_network(args: &Args, default_procs: usize) -> Result<ProcNetwork, String> {
     let p = args.get_parse("procs", default_procs)?;
-    Ok(match args.get("topology").unwrap_or("full") {
-        "full" => ProcNetwork::fully_connected(p),
-        "ring" => ProcNetwork::ring(p),
-        "chain" => ProcNetwork::chain(p),
-        "star" => ProcNetwork::star(p),
-        "hypercube" => ProcNetwork::hypercube(p.next_power_of_two()),
+    let (topology, count) = match args.get("topology").unwrap_or("full") {
+        "full" => (Topology::FullyConnected, p),
+        "ring" => (Topology::Ring, p),
+        "chain" => (Topology::Chain, p),
+        "star" => (Topology::Star, p),
+        "hypercube" => (Topology::Hypercube, p.checked_next_power_of_two().unwrap_or(p)),
         "mesh" => {
-            let rows = (p as f64).sqrt().floor().max(1.0) as usize;
+            // Bounded by the limit so a count past it is refused at once.
+            let rows = (p.min(MAX_PROCS) as f64).sqrt().floor().max(1.0) as usize;
             let rows = (1..=rows).rev().find(|r| p % r == 0).unwrap_or(1);
-            ProcNetwork::with_topology(Topology::Mesh { rows, cols: p / rows }, p)
+            (Topology::Mesh { rows, cols: p / rows }, p)
         }
         other => {
             return Err(format!(
                 "invalid value `{other}` for `--topology` (expected full|ring|chain|star|hypercube|mesh)"
             ))
         }
-    })
+    };
+    ProcNetwork::try_with_topology(topology, count)
+        .map_err(|e| format!("invalid value `{p}` for `--procs`: {e}"))
 }
 
 fn report(schedule: &Schedule, graph: &TaskGraph, net: &ProcNetwork, args: &Args, label: &str) {

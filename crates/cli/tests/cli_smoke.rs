@@ -480,6 +480,29 @@ fn unknown_flags_are_rejected_by_name() {
     std::fs::remove_file(graph).ok();
 }
 
+/// A processor count outside 1..=1024 is refused with a message before any
+/// network is built: no panic, and no seconds spent on a network the
+/// signature's processor field cannot address.
+#[test]
+fn out_of_range_processor_counts_are_rejected() {
+    let graph = graph_file("procs-out-of-range");
+    let cases = [
+        ("0", "full", "at least one processor"),
+        ("1025", "full", "exceed the limit of 1024"),
+        ("1000000000000000003", "mesh", "exceed the limit of 1024"),
+    ];
+    for (procs, topology, reason) in cases {
+        let out = run(&["schedule", "--input", &graph, "--procs", procs, "--topology", topology]);
+        assert_eq!(out.status.code(), Some(1), "--procs {procs}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("invalid value `{procs}` for `--procs`")), "{stderr}");
+        assert!(stderr.contains(reason), "--procs {procs}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--procs {procs}: {stderr}");
+        assert!(out.stdout.is_empty());
+    }
+    std::fs::remove_file(graph).ok();
+}
+
 /// A value that does not parse is an error naming the flag, not a silent
 /// fallback to the default (`--ppes two` used to run with the default q).
 #[test]

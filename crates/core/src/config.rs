@@ -2,8 +2,12 @@
 //! choice, resource limits and the incumbent the search starts from, bundled
 //! in one [`SearchConfig`] that every serial scheduler takes.
 
+use std::time::Instant;
+
 use optsched_schedule::Schedule;
 use optsched_taskgraph::Cost;
+
+use crate::stats::SearchOutcome;
 
 /// Which admissible heuristic `h(s)` the search uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -96,6 +100,20 @@ impl Default for PruningConfig {
     }
 }
 
+/// Expansions between wall-clock reads when enforcing
+/// [`SearchLimits::max_millis`].  Reading the clock is a syscall; paying it
+/// on every expansion measurably slows deadline runs whose per-expansion
+/// work is cheap.  A cadence of 1024 expansions costs single-digit
+/// milliseconds of overshoot at worst — noise against any budget that is
+/// itself larger than [`TIME_CHECK_ALWAYS_BELOW_MS`].
+pub(crate) const TIME_CHECK_CADENCE: u64 = 1024;
+
+/// Budgets at or below this many milliseconds check the clock on *every*
+/// call: one cadence stretch could overshoot such a budget by a meaningful
+/// fraction (a 0 ms deadline must still stop on the first expansion, the
+/// anytime contract the service relies on).
+const TIME_CHECK_ALWAYS_BELOW_MS: u64 = 16;
+
 /// Resource limits for a search run.
 ///
 /// The A* family can need exponential time and memory in the worst case
@@ -125,6 +143,43 @@ impl SearchLimits {
     /// Limit only the number of expanded states.
     pub fn expansions(n: u64) -> SearchLimits {
         SearchLimits { max_expansions: Some(n), ..Default::default() }
+    }
+
+    /// The limit a search started at `started` has run into, if any — the
+    /// one stopping rule of the serial engine and of every PPE of the
+    /// parallel scheduler.  Checked in order: expansions, generations, wall
+    /// clock (each [`SearchOutcome::LimitReached`]), then the target cost
+    /// against `incumbent_len` ([`SearchOutcome::TargetReached`]).
+    ///
+    /// `expanded` and `generated` are the counts the limits apply to (a
+    /// parallel run passes its totals over all PPEs).  The clock is read
+    /// only when the caller's own expansion count `local_expanded` is a
+    /// multiple of 1024 (so the first check always reads it), or on every
+    /// call for budgets of at most 16 ms.
+    pub fn reached(
+        &self,
+        started: Instant,
+        local_expanded: u64,
+        expanded: u64,
+        generated: u64,
+        incumbent_len: Cost,
+    ) -> Option<SearchOutcome> {
+        if self.max_expansions.is_some_and(|max| expanded >= max)
+            || self.max_generated.is_some_and(|max| generated >= max)
+        {
+            return Some(SearchOutcome::LimitReached);
+        }
+        if let Some(ms) = self.max_millis {
+            let check_now =
+                ms <= TIME_CHECK_ALWAYS_BELOW_MS || local_expanded % TIME_CHECK_CADENCE == 0;
+            if check_now && started.elapsed().as_millis() as u64 >= ms {
+                return Some(SearchOutcome::LimitReached);
+            }
+        }
+        match self.target_cost {
+            Some(target) if incumbent_len <= target => Some(SearchOutcome::TargetReached),
+            _ => None,
+        }
     }
 }
 

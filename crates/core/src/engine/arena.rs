@@ -38,6 +38,7 @@
 
 use crate::problem::SchedulingProblem;
 use crate::state::{ChildDelta, SearchState};
+use crate::stats::SearchStats;
 
 /// Identifier of a state held by a [`StateArena`].
 ///
@@ -212,6 +213,19 @@ impl<'p> StateArena<'p> {
         self.replayed_deltas_saved
     }
 
+    /// Copies the arena's record, full-state and replay counters into
+    /// `stats` — the one place a search loop reports its store.
+    pub fn record_stats(&self, stats: &mut SearchStats) {
+        stats.peak_live_states = self.peak_live_full as u64;
+        stats.peak_live_records = self.peak_live_records as u64;
+        stats.reclaimed_records = self.reclaimed_records;
+        stats.materialisations = self.materialisations;
+        stats.path_cache_hits = self.path_cache_hits;
+        stats.path_cache_ancestor_hits = self.path_cache_ancestor_hits;
+        stats.replayed_deltas = self.replayed_deltas;
+        stats.replayed_deltas_saved = self.replayed_deltas_saved;
+    }
+
     /// Slot capacity currently allocated by the record vector (compaction
     /// exists to shrink this back towards the live count after a drain).
     pub fn capacity(&self) -> usize {
@@ -347,40 +361,19 @@ impl<'p> StateArena<'p> {
         self.free.shrink_to_fit();
     }
 
-    /// Adopts a full state produced *outside* this arena (in the parallel
-    /// scheduler: a state received from another PPE, or the initial
-    /// distribution) and returns its id.
-    ///
-    /// The state is *re-rooted*: it is decomposed with
-    /// [`SearchState::to_delta_chain`] and stored as a chain of delta records
-    /// hanging off slot 0, so adopting never adds a live full state.  The
-    /// arena therefore keeps the problem's **initial** (empty) state in slot
-    /// 0 — adopting into an empty arena seeds it automatically, and adopting
-    /// into one whose slot 0 is anything else (only possible by inserting a
-    /// non-initial root first) panics rather than replay chains onto the
-    /// wrong base.
-    ///
-    /// # Panics
-    ///
-    /// Panics if this is a non-empty arena whose slot 0 is not the initial
-    /// state.
-    pub fn adopt(&mut self, state: SearchState) -> StateId {
-        self.adopt_chain(&state.to_delta_chain())
-    }
-
     /// Adopts a full state as a *snapshot root*: one `Slot::Full` record that
     /// later children hang their deltas off and that `materialise` replays
     /// from directly — the receive-side of the parallel scheduler's snapshot
-    /// transfers.  Unlike [`StateArena::adopt`], the state is stored as-is
-    /// instead of decomposed, so adopting (and later releasing) a depth-`d`
-    /// transfer costs one record instead of `d` records plus a refcount
-    /// cascade.  An empty arena is still seeded with the pinned initial root
-    /// first, preserving the slot-0 invariant that chain adoption relies on;
-    /// a depth-0 state *is* the initial state and takes the chain path (no
-    /// duplicate root record).
+    /// transfers.  Unlike [`StateArena::adopt_chain`], the state arrives
+    /// whole and is stored as-is, so adopting (and later releasing) a
+    /// depth-`d` transfer costs one record instead of `d` records plus a
+    /// refcount cascade.  An empty arena is still seeded with the pinned
+    /// initial root first, preserving the slot-0 invariant that chain
+    /// adoption relies on; a depth-0 state *is* the initial state and takes
+    /// the chain path (no duplicate root record).
     pub fn adopt_snapshot(&mut self, state: SearchState) -> StateId {
         if state.depth() == 0 {
-            return self.adopt(state);
+            return self.adopt_chain(&[]);
         }
         if self.slots.is_empty() {
             self.insert_root(SearchState::initial(self.problem));
@@ -419,10 +412,14 @@ impl<'p> StateArena<'p> {
     /// chain.  An empty chain denotes the initial state itself and returns
     /// the pinned root.
     ///
+    /// The arena therefore keeps the problem's **initial** (empty) state in
+    /// slot 0: adopting into an empty arena seeds it automatically.
+    ///
     /// # Panics
     ///
-    /// As [`StateArena::adopt`]: a non-empty arena must be rooted at the
-    /// initial state.
+    /// Panics if this is a non-empty arena whose slot 0 is not the initial
+    /// state (only possible by inserting a non-initial root first), rather
+    /// than replay the chain onto the wrong base.
     pub fn adopt_chain(&mut self, chain: &[ChildDelta]) -> StateId {
         if self.slots.is_empty() {
             self.insert_root(SearchState::initial(self.problem));
@@ -972,7 +969,8 @@ mod tests {
         let mut delta = StateArena::new(&problem);
         let root = delta.insert_root(SearchState::initial(&problem));
         assert_eq!(root, 0);
-        let ids: Vec<StateId> = transfers.iter().map(|s| delta.adopt(s.clone())).collect();
+        let ids: Vec<StateId> =
+            transfers.iter().map(|s| delta.adopt_chain(&s.to_delta_chain())).collect();
         // Re-rooting stores only delta records: still just the initial root
         // (plus at most one scratch state) live.
         assert!(delta.peak_live_full() <= 2, "peak {}", delta.peak_live_full());
@@ -1018,7 +1016,7 @@ mod tests {
         // Sender: the stored chain is extracted without materialising.
         let mut sender = StateArena::new(&problem);
         sender.insert_root(SearchState::initial(&problem));
-        let sid = sender.adopt(state.clone());
+        let sid = sender.adopt_chain(&state.to_delta_chain());
         let wire = sender.extract_chain(sid);
         assert_eq!(wire, state.to_delta_chain());
         sender.release(sid);
@@ -1092,9 +1090,9 @@ mod tests {
         assert_eq!(fresh.live_records(), 1);
     }
 
-    /// `adopt` is total on delta arenas: an empty one seeds its own initial
-    /// root, and one mis-seeded with a non-initial root refuses to replay
-    /// chains onto the wrong base instead of corrupting state.
+    /// `adopt_chain` is total on delta arenas: an empty one seeds its own
+    /// initial root, and one mis-seeded with a non-initial root refuses to
+    /// replay chains onto the wrong base instead of corrupting state.
     #[test]
     fn adopt_seeds_an_empty_delta_arena_with_the_initial_root() {
         let problem = example_problem();
@@ -1104,7 +1102,7 @@ mod tests {
             .schedule_node(&problem, optsched_taskgraph::NodeId(1), ProcId(1), h);
 
         let mut arena = StateArena::new(&problem);
-        let id = arena.adopt(deep.clone());
+        let id = arena.adopt_chain(&deep.to_delta_chain());
         assert_eq!(arena.materialise(id).signature(), deep.signature());
         assert_eq!(arena.materialise(0).depth(), 0, "slot 0 is the seeded initial state");
     }
@@ -1128,7 +1126,7 @@ mod tests {
         );
         let mut arena = StateArena::new(&problem);
         arena.insert_root(non_initial.clone());
-        let _ = arena.adopt(non_initial);
+        let _ = arena.adopt_chain(&non_initial.to_delta_chain());
     }
 
 }

@@ -5,14 +5,22 @@
 //! parallel scheduler — is one state-space search over partial schedules.
 //! This module implements that search **once**:
 //!
-//! * [`run_search`] is the single OPEN/CLOSED run loop: frontier selection,
-//!   duplicate detection, [`SearchLimits`](crate::config::SearchLimits)
-//!   enforcement, incumbent / upper-bound handling and [`SearchStats`]
-//!   accounting, all configured by one [`SearchConfig`].  What
-//!   differentiates the algorithms — child evaluation, bound pruning and
-//!   expansion order — lives behind the [`FrontierPolicy`] trait
-//!   ([`policy`]): `AStarScheduler`, `AEpsScheduler`, `ChenYuScheduler` and
-//!   `ExhaustiveScheduler` are thin configurations over it.
+//! * [`run_search`] is the single serial OPEN/CLOSED run loop: frontier
+//!   selection, duplicate detection, limit enforcement, incumbent /
+//!   upper-bound handling and [`SearchStats`] accounting, all configured by
+//!   one [`SearchConfig`].  What differentiates the algorithms — child
+//!   evaluation, bound pruning and expansion order — lives behind the
+//!   [`FrontierPolicy`] trait ([`policy`]): `AStarScheduler`,
+//!   `AEpsScheduler`, `ChenYuScheduler` and `ExhaustiveScheduler` are thin
+//!   configurations over it.
+//! * Each search rule exists once, and the parallel scheduler's PPE loop
+//!   calls the same code as [`run_search`]: every heap-ordered OPEN list is
+//!   a keyed [`MinHeap`] (no other `BinaryHeap` in the workspace; CI checks
+//!   it),
+//!   both loops stop by
+//!   [`SearchLimits::reached`](crate::config::SearchLimits::reached), which
+//!   also owns the 1/1024 clock cadence, and both report their store through
+//!   [`StateArena::record_stats`].
 //! * [`StateArena`] ([`arena`]) stores generated states as parent-id +
 //!   [`ChildDelta`] records and materialises a full [`SearchState`] only
 //!   when a state is selected for expansion; dead
@@ -40,15 +48,15 @@ use optsched_obs as obs;
 use optsched_schedule::Schedule;
 use optsched_taskgraph::Cost;
 
-use crate::config::{HeuristicKind, PruningConfig, SearchConfig};
+use crate::config::{HeuristicKind, PruningConfig, SearchConfig, TIME_CHECK_CADENCE};
 use crate::problem::SchedulingProblem;
 use crate::state::{ChildDelta, ChildSignature, SearchState};
 use crate::stats::{SearchOutcome, SearchResult, SearchStats};
 
 pub use arena::{StateArena, StateId};
 pub use policy::{
-    focal_threshold, AStarPolicy, BoundPolicy, DfsPolicy, FocalPolicy, FrontierPolicy, OpenEntry,
-    WeightedAStarPolicy,
+    focal_threshold, AStarPolicy, BoundPolicy, DfsPolicy, FocalPolicy, FrontierPolicy, MinHeap,
+    OpenEntry, WeightedAStarPolicy,
 };
 
 /// The engine's duplicate-detection hook.
@@ -224,21 +232,6 @@ pub fn expand_state<D: DuplicateFilter>(
     }
 }
 
-/// Expansions between wall-clock reads when enforcing
-/// [`SearchLimits::max_millis`](crate::config::SearchLimits::max_millis).
-/// Reading the clock is a syscall; paying it on every expansion measurably
-/// slows deadline runs whose per-expansion work is cheap.  A cadence of
-/// 1024 expansions costs single-digit milliseconds of overshoot at worst —
-/// noise against any budget that is itself larger than
-/// [`TIME_CHECK_ALWAYS_BELOW_MS`].
-const TIME_CHECK_CADENCE: u64 = 1024;
-
-/// Budgets at or below this many milliseconds check the clock on *every*
-/// expansion: one cadence stretch could overshoot such a budget by a
-/// meaningful fraction (a 0 ms deadline must still stop on the first
-/// expansion, the anytime contract the service relies on).
-const TIME_CHECK_ALWAYS_BELOW_MS: u64 = 16;
-
 /// Runs a complete search over `problem` under the given frontier policy
 /// and [`SearchConfig`].
 ///
@@ -353,32 +346,14 @@ pub fn run_search<P: FrontierPolicy>(
                     obs::instant("incumbent", obs_track, "makespan", state.g());
                 }
             } else {
-                // Limits.
-                if let Some(max_exp) = limits.max_expansions {
-                    if stats.expanded >= max_exp {
-                        break SearchOutcome::LimitReached;
-                    }
-                }
-                if let Some(max_gen) = limits.max_generated {
-                    if stats.generated >= max_gen {
-                        break SearchOutcome::LimitReached;
-                    }
-                }
-                if let Some(ms) = limits.max_millis {
-                    // The clock is read on a cadence, not per expansion: the
-                    // first pop (expanded == 0) always checks, so a 0 ms
-                    // budget still stops before any work, and tiny budgets
-                    // keep the per-expansion check.
-                    let check_now = ms <= TIME_CHECK_ALWAYS_BELOW_MS
-                        || stats.expanded % TIME_CHECK_CADENCE == 0;
-                    if check_now && start_time.elapsed().as_millis() as u64 >= ms {
-                        break SearchOutcome::LimitReached;
-                    }
-                }
-                if let Some(target) = limits.target_cost {
-                    if incumbent_len.get() <= target {
-                        break SearchOutcome::TargetReached;
-                    }
+                if let Some(stop) = limits.reached(
+                    start_time,
+                    stats.expanded,
+                    stats.expanded,
+                    stats.generated,
+                    incumbent_len.get(),
+                ) {
+                    break stop;
                 }
 
                 stats.expanded += 1;
@@ -438,14 +413,7 @@ pub fn run_search<P: FrontierPolicy>(
         outcome
     };
 
-    stats.peak_live_states = arena.peak_live_full() as u64;
-    stats.peak_live_records = arena.peak_live_records() as u64;
-    stats.reclaimed_records = arena.reclaimed_records();
-    stats.materialisations = arena.materialisations();
-    stats.path_cache_hits = arena.path_cache_hits();
-    stats.path_cache_ancestor_hits = arena.path_cache_ancestor_hits();
-    stats.replayed_deltas = arena.replayed_deltas();
-    stats.replayed_deltas_saved = arena.replayed_deltas_saved();
+    arena.record_stats(&mut stats);
     SearchResult {
         schedule_length: incumbent.makespan(),
         schedule: Some(incumbent),

@@ -90,8 +90,13 @@ pub trait FrontierPolicy {
 
 /// A binary min-heap of state ids keyed by `K` (smallest key pops first).
 /// An item is the key and the id, nothing else.
+///
+/// Every heap-ordered OPEN list in the workspace is one of these: the
+/// policies below ([`DfsPolicy`] keeps a plain stack) and each PPE of the
+/// parallel scheduler, which orders by the same `(f, h, seq)` key as
+/// [`AStarPolicy`].
 #[derive(Debug)]
-struct MinHeap<K: Ord> {
+pub struct MinHeap<K: Ord> {
     heap: BinaryHeap<Keyed<K>>,
 }
 
@@ -119,24 +124,46 @@ impl<K: Ord> Ord for Keyed<K> {
 }
 
 impl<K: Ord> MinHeap<K> {
-    fn new() -> MinHeap<K> {
+    /// An empty heap.
+    pub fn new() -> MinHeap<K> {
         MinHeap { heap: BinaryHeap::new() }
     }
 
-    fn push(&mut self, key: K, id: StateId) {
+    /// Inserts state `id` under `key`.
+    pub fn push(&mut self, key: K, id: StateId) {
         self.heap.push(Keyed { key: Reverse(key), id });
     }
 
-    fn pop(&mut self) -> Option<StateId> {
+    /// Removes the smallest-key state and returns its id.
+    pub fn pop(&mut self) -> Option<StateId> {
         self.heap.pop().map(|k| k.id)
     }
 
-    fn peek(&self) -> Option<(&K, StateId)> {
+    /// Removes the smallest-key state and returns it with its key, so a
+    /// caller can push it back unchanged.
+    pub fn pop_keyed(&mut self) -> Option<(K, StateId)> {
+        self.heap.pop().map(|k| (k.key.0, k.id))
+    }
+
+    /// The smallest key and its state, without removing it.
+    pub fn peek(&self) -> Option<(&K, StateId)> {
         self.heap.peek().map(|k| (&k.key.0, k.id))
     }
 
-    fn len(&self) -> usize {
+    /// Number of states in the heap.
+    pub fn len(&self) -> usize {
         self.heap.len()
+    }
+
+    /// True when the heap holds no state.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+}
+
+impl<K: Ord> Default for MinHeap<K> {
+    fn default() -> MinHeap<K> {
+        MinHeap::new()
     }
 }
 

@@ -41,7 +41,6 @@
 
 pub mod aeps;
 pub mod astar;
-pub mod bitset;
 pub mod bnb;
 pub mod config;
 pub mod engine;

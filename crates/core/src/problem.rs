@@ -6,8 +6,6 @@ use optsched_procnet::{CommModel, ProcId, ProcNetwork};
 use optsched_schedule::Schedule;
 use optsched_taskgraph::{Cost, GraphLevels, NodeId, TaskGraph};
 
-use crate::state::MAX_PROCS;
-
 /// Ceiling on the worst-case makespan of an accepted instance (2^53).
 ///
 /// Every cost the schedulers compute — start and finish times, static
@@ -17,7 +15,8 @@ use crate::state::MAX_PROCS;
 /// Aε\*'s FOCAL threshold and weighted A\*'s ordering compute in.  Start
 /// times also fit the 54-bit start field of a
 /// [`StateSignature`](crate::state::StateSignature) word, whose processor
-/// field above it is what limits a problem to [`MAX_PROCS`] processors.
+/// field above it is what limits a problem to
+/// [`MAX_PROCS`](crate::state::MAX_PROCS) processors.
 pub const MAX_WORST_CASE_MAKESPAN: Cost = 1 << 53;
 
 /// The worst-case makespan of scheduling `graph` on `network`: every task
@@ -48,19 +47,13 @@ fn worst_case_makespan(graph: &TaskGraph, network: &ProcNetwork) -> Option<Cost>
 
 /// Accepts `graph` on `network` only if its worst-case makespan — every
 /// task run back to back at the slowest cycle time plus every edge paid at
-/// its largest possible delay — fits under [`MAX_WORST_CASE_MAKESPAN`], and
-/// the network has at most [`MAX_PROCS`] processors.
+/// its largest possible delay — fits under [`MAX_WORST_CASE_MAKESPAN`].
 /// Every front end — the service's wire format and the CLI — calls this
 /// before [`SchedulingProblem::new`], whose cost arithmetic it makes
-/// overflow-free and whose processor limit it checks without a panic; a
-/// rejection carries a message for the caller's structured error.
+/// overflow-free; a rejection carries a message for the caller's structured
+/// error.  (The [`MAX_PROCS`](crate::state::MAX_PROCS) processor limit
+/// needs no check here: no [`ProcNetwork`] exceeds it.)
 pub fn check_cost_ceiling(graph: &TaskGraph, network: &ProcNetwork) -> Result<(), String> {
-    if network.num_procs() > MAX_PROCS {
-        return Err(format!(
-            "instance rejected: {} processors exceed the limit of {MAX_PROCS}",
-            network.num_procs()
-        ));
-    }
     match worst_case_makespan(graph, network) {
         Some(worst) if worst <= MAX_WORST_CASE_MAKESPAN => Ok(()),
         worst => Err(format!(
@@ -95,17 +88,7 @@ pub struct SchedulingProblem {
 
 impl SchedulingProblem {
     /// Builds a problem instance and performs all per-instance precomputation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `network` has more than [`MAX_PROCS`] processors (front
-    /// ends reject such instances first, through [`check_cost_ceiling`]).
     pub fn new(graph: TaskGraph, network: ProcNetwork) -> SchedulingProblem {
-        assert!(
-            network.num_procs() <= MAX_PROCS,
-            "{} processors exceed the limit of {MAX_PROCS}",
-            network.num_procs()
-        );
         let levels = GraphLevels::compute(&graph);
 
         let mut equivalence_rep: Vec<NodeId> = graph.node_ids().collect();
@@ -203,6 +186,7 @@ impl SchedulingProblem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::MAX_PROCS;
     use optsched_procnet::ProcNetwork;
     use optsched_taskgraph::paper_example_dag;
 
@@ -243,10 +227,8 @@ mod tests {
         b.add_edge(x, y, 10).unwrap();
         assert_eq!(worst_case_makespan(&b.build().unwrap(), &chain), Some(2 + 10 * 3));
 
-        // The processor limit of the packed signature is checked too.
+        // The largest network the packed signature allows is accepted.
         assert!(check_cost_ceiling(&example, &ProcNetwork::star(MAX_PROCS)).is_ok());
-        let err = check_cost_ceiling(&example, &ProcNetwork::star(MAX_PROCS + 1)).unwrap_err();
-        assert!(err.contains("processors exceed"), "{err}");
     }
 
     #[test]

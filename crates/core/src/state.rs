@@ -13,7 +13,6 @@ use optsched_procnet::ProcId;
 use optsched_schedule::Schedule;
 use optsched_taskgraph::{Cost, NodeId};
 
-use crate::bitset::BitSet;
 use crate::config::{HeuristicKind, PruningConfig};
 use crate::problem::SchedulingProblem;
 use crate::stats::SearchStats;
@@ -27,11 +26,12 @@ const UNSCHEDULED: u64 = u64::MAX;
 /// (2^53) and so fit in these bits, which keeps the two fields disjoint.
 const START_BITS: u32 = 54;
 
-/// Largest processor count a [`SchedulingProblem`] accepts (1024): processor
-/// indices must fit in the 10 bits above the 54-bit start field of a
+/// Largest processor count a network, and so a [`SchedulingProblem`], can
+/// have: processor indices fill the bits above the start field of a
 /// [`StateSignature`] word.  With a start of at most 2^53, no packed word
 /// can equal the `u64::MAX` marker of an unscheduled node either.
-pub const MAX_PROCS: usize = 1 << (64 - START_BITS);
+pub use optsched_procnet::MAX_PROCS;
+const _: () = assert!(MAX_PROCS == 1 << (64 - START_BITS), "processor field width");
 
 /// Packs one `(processor, start time)` assignment into a signature word.
 #[inline]
@@ -229,10 +229,10 @@ impl ChildDelta {
 /// A partial schedule together with its cost `f = g + h`.
 #[derive(Debug, Clone)]
 pub struct SearchState {
-    scheduled: BitSet,
     /// The signature words: processor and start time of each node, packed
-    /// ([`UNSCHEDULED`] when unscheduled).  Kept in signature form so the
-    /// duplicate check can borrow them instead of building a signature.
+    /// ([`UNSCHEDULED`] when unscheduled) — also the state's one record of
+    /// which nodes are scheduled.  Kept in signature form so the duplicate
+    /// check can borrow them instead of building a signature.
     words: Box<[u64]>,
     /// Finish time of each scheduled node.
     finish: Box<[Cost]>,
@@ -259,7 +259,6 @@ impl SearchState {
         let missing: Vec<u16> =
             graph.node_ids().map(|n| graph.in_degree(n) as u16).collect();
         SearchState {
-            scheduled: BitSet::new(v),
             words: vec![UNSCHEDULED; v].into_boxed_slice(),
             finish: vec![0; v].into_boxed_slice(),
             proc_ready: vec![0; p].into_boxed_slice(),
@@ -308,7 +307,7 @@ impl SearchState {
     /// True if `n` is scheduled in this state.
     #[inline]
     pub fn is_scheduled(&self, n: NodeId) -> bool {
-        self.scheduled.contains(n.index())
+        self.words[n.index()] != UNSCHEDULED
     }
 
     /// Processor of `n`, if scheduled.
@@ -462,7 +461,6 @@ impl SearchState {
         let n = delta.node;
         let p = delta.proc;
         debug_assert!(!self.is_scheduled(n), "delta re-schedules an already scheduled node");
-        self.scheduled.insert(n.index());
         self.words[n.index()] = pack(p, delta.start);
         self.finish[n.index()] = delta.finish;
         self.proc_ready[p.index()] = delta.finish;
@@ -481,7 +479,6 @@ impl SearchState {
     /// (all slices keep their boxes; both states must belong to the same
     /// problem instance, i.e. have identical slice lengths).
     pub fn copy_from(&mut self, other: &SearchState) {
-        self.scheduled.copy_from(&other.scheduled);
         self.words.copy_from_slice(&other.words);
         self.finish.copy_from_slice(&other.finish);
         self.proc_ready.copy_from_slice(&other.proc_ready);
@@ -510,7 +507,7 @@ impl SearchState {
     /// materialised); the final delta carries this state's true `h`.
     pub fn to_delta_chain(&self) -> Vec<ChildDelta> {
         let mut assignments: Vec<NodeId> = (0..self.words.len())
-            .filter(|&i| self.scheduled.contains(i))
+            .filter(|&i| self.words[i] != UNSCHEDULED)
             .map(|i| NodeId(i as u32))
             .collect();
         assignments
@@ -678,6 +675,9 @@ mod tests {
         let h = HeuristicKind::PaperStaticLevel;
         let s1 = SearchState::initial(&prob).schedule_node(&prob, NodeId(0), ProcId(0), h);
         assert_eq!(s1.ready_nodes(&prob), vec![NodeId(1), NodeId(2), NodeId(3)]);
+        // Scheduled-ness is read off the signature words.
+        assert!(s1.is_scheduled(NodeId(0)) && !s1.is_scheduled(NodeId(1)));
+        assert_eq!(s1.finish_time(NodeId(1)), None);
         let s2 = s1.schedule_node(&prob, NodeId(1), ProcId(0), h);
         let s3 = s2.schedule_node(&prob, NodeId(2), ProcId(1), h);
         // n5 becomes ready only after both n2 and n3 are scheduled.

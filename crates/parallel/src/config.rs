@@ -39,7 +39,9 @@ pub struct ParallelConfig {
     /// `ablation_parallel` bin sweeps it.
     pub num_shards: usize,
     /// Resource limits applied to the whole parallel run (expansions and
-    /// generations are counted across all PPEs).
+    /// generations are counted across all PPEs; each PPE reads the clock on
+    /// the serial engine's cadence, see
+    /// [`SearchLimits::reached`](optsched_core::SearchLimits::reached)).
     pub limits: SearchLimits,
 }
 

@@ -1,11 +1,17 @@
 //! The thread-based parallel A* / Aε* scheduler.
 //!
 //! Every PPE (thread) runs the same best-first loop as the serial scheduler
-//! on its private OPEN/CLOSED lists; the pieces that make it the *parallel*
+//! on its private OPEN/CLOSED lists, built from the engine's parts rather
+//! than copies of them: OPEN is the engine's [`MinHeap`] in the serial A\*
+//! order `(f, h, FIFO)`, children come from [`expand_state`], the run stops
+//! by [`SearchLimits::reached`](optsched_core::SearchLimits::reached) on the
+//! counts summed over all PPEs, and each PPE reports its store through
+//! [`StateArena::record_stats`].  The pieces that make it the *parallel*
 //! algorithm of Section 3.3 are:
 //!
 //! * **Initial distribution** — the frontier obtained by repeatedly expanding
-//!   the initial empty state until at least `q` states exist is dealt to the
+//!   (through [`expand_state`], admitting every child) the initial empty
+//!   state until at least `q` states exist is dealt to the
 //!   PPEs in the interleaved order of the paper (best to PPE 0, second best
 //!   to PPE q−1, third to PPE 1, …), extras round-robin (cases 1–3).
 //! * **Neighbour communication** — every `T` expansions a PPE runs a
@@ -38,7 +44,7 @@
 //! snapshot) so the two transfer forms are compared in the same unit.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
@@ -46,7 +52,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use optsched_core::engine::{
-    expand_state, DuplicateFilter, ExpansionContext, StateArena, StateId,
+    expand_state, focal_threshold, DuplicateFilter, ExpansionContext, MinHeap, StateArena, StateId,
 };
 use optsched_core::state::{ChildDelta, ChildSignature, StateSignature};
 use optsched_core::{SchedulingProblem, SearchOutcome, SearchState, SearchStats};
@@ -67,32 +73,9 @@ const FOCAL_SCAN_LIMIT: usize = 64;
 /// member is still strictly better than the receiver's published minimum.
 const ELECTION_BATCH: usize = 4;
 
-/// An OPEN entry ordered by `(f, h, insertion counter)` ascending.  The
-/// state itself lives in the PPE's [`StateArena`]; the entry carries only its
-/// id plus the ordering key, so OPEN membership costs no live full state in
-/// the arena.
-struct HeapEntry {
-    key: (Cost, Cost, u64),
-    id: StateId,
-}
-
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // BinaryHeap is a max-heap; reverse so the smallest key is on top.
-        Reverse(self.key).cmp(&Reverse(other.key))
-    }
-}
+/// A PPE's OPEN list: the engine's min-heap of arena ids keyed by
+/// `(f, h, insertion counter)`, the serial A\* order.
+type Open = MinHeap<(Cost, Cost, u64)>;
 
 /// Transfer depth at or below which an arena ships the raw chain; any deeper
 /// and it materialises the state and ships one snapshot instead.  A shallow
@@ -280,6 +263,16 @@ impl DupFilter<'_> {
     }
 }
 
+/// The initial distribution's duplicate filter: it admits every child.  The
+/// dealt-out states meet their PPE's own filter when they arrive.
+struct AdmitAll;
+
+impl DuplicateFilter for AdmitAll {
+    fn admit(&mut self, _sig: ChildSignature<'_>, _g: Cost, _stats: &mut SearchStats) -> bool {
+        true
+    }
+}
+
 /// State shared by all PPE threads.
 struct Shared {
     /// Best complete schedule known so far and its length.
@@ -402,27 +395,35 @@ impl<'a> ParallelAStarScheduler<'a> {
     /// expand), then deals the frontier out in the interleaved order.
     fn initial_distribution(&self, stats: &mut SearchStats) -> Vec<Vec<SearchState>> {
         let q = self.config.num_ppes;
+        let problem = self.problem;
+        let ctx = ExpansionContext {
+            problem,
+            pruning: &self.config.pruning,
+            heuristic: self.config.heuristic,
+        };
         let mut frontier: Vec<SearchState> = Vec::new();
 
-        let initial = SearchState::initial(self.problem);
-        let mut to_expand = vec![initial];
+        let mut to_expand = vec![SearchState::initial(problem)];
         while frontier.len() + to_expand.len() < q.max(1) && !to_expand.is_empty() {
             // Expand the most promising expandable state.
             to_expand.sort_by_key(|s| Reverse(s.f()));
             let state = to_expand.pop().expect("loop guard ensures non-empty");
-            if state.is_goal(self.problem) {
+            if state.is_goal(problem) {
                 frontier.push(state);
                 continue;
             }
             stats.expanded += 1;
-            for (node, proc) in
-                state.expansion_candidates(self.problem, &self.config.pruning, stats)
-            {
-                let child = state.schedule_node(self.problem, node, proc, self.config.heuristic);
-                stats.heuristic_evaluations += 1;
-                stats.generated += 1;
-                to_expand.push(child);
-            }
+            expand_state(
+                ctx,
+                &state,
+                &mut AdmitAll,
+                stats,
+                |_parent, delta, _stats| Some(delta.f()),
+                |parent, delta, _f, stats| {
+                    stats.generated += 1;
+                    to_expand.push(parent.apply_delta(problem, &delta));
+                },
+            );
         }
         frontier.extend(to_expand);
         // Sort by increasing cost and deal out: best -> PPE 0, next -> PPE q-1,
@@ -468,7 +469,6 @@ impl<'a> ParallelAStarScheduler<'a> {
             shared.local_min_f[i].store(min_f, Ordering::SeqCst);
         }
         let neighbors = cfg.ppe_neighbors();
-        let deadline = cfg.limits.max_millis.map(|ms| start + Duration::from_millis(ms));
 
         let channels: Vec<(Sender<Transfer>, Receiver<Transfer>)> =
             (0..q).map(|_| unbounded()).collect();
@@ -486,7 +486,7 @@ impl<'a> ParallelAStarScheduler<'a> {
                 let neighbors = neighbors[id].clone();
                 let problem = self.problem;
                 handles.push(scope.spawn(move || {
-                    ppe_worker(id, problem, &cfg, &neighbors, shared, rx, &txs, bucket, deadline)
+                    ppe_worker(id, problem, &cfg, &neighbors, shared, rx, &txs, bucket, start)
                 }));
             }
             for h in handles {
@@ -524,16 +524,16 @@ impl<'a> ParallelAStarScheduler<'a> {
 
 /// Selects the next state to expand: plain best-first for the exact search,
 /// or a FOCAL-style "deepest state within (1+ε)·fmin" for the ε-bounded one.
-fn select_state(open: &mut BinaryHeap<HeapEntry>, epsilon: Option<f64>) -> HeapEntry {
+fn select_state(open: &mut Open, epsilon: Option<f64>) -> StateId {
     let Some(eps) = epsilon else {
         return open.pop().expect("select_state called on a non-empty OPEN");
     };
-    let fmin = open.peek().expect("non-empty OPEN").key.0;
-    let threshold = (fmin as f64 * (1.0 + eps)).floor() as Cost;
-    let mut focal: Vec<HeapEntry> = Vec::new();
+    let fmin = open.peek().expect("non-empty OPEN").0 .0;
+    let threshold = focal_threshold(eps, fmin);
+    let mut focal: Vec<((Cost, Cost, u64), StateId)> = Vec::new();
     while focal.len() < FOCAL_SCAN_LIMIT {
         match open.peek() {
-            Some(e) if e.key.0 <= threshold => focal.push(open.pop().expect("peeked")),
+            Some((key, _)) if key.0 <= threshold => focal.push(open.pop_keyed().expect("peeked")),
             _ => break,
         }
     }
@@ -541,12 +541,12 @@ fn select_state(open: &mut BinaryHeap<HeapEntry>, epsilon: Option<f64>) -> HeapE
     let best_idx = focal
         .iter()
         .enumerate()
-        .min_by_key(|(_, e)| (e.key.1, e.key.0, e.key.2))
+        .min_by_key(|(_, (key, _))| (key.1, key.0, key.2))
         .map(|(i, _)| i)
         .expect("focal contains at least the fmin state");
-    let chosen = focal.swap_remove(best_idx);
-    for e in focal {
-        open.push(e);
+    let (_, chosen) = focal.swap_remove(best_idx);
+    for (key, id) in focal {
+        open.push(key, id);
     }
     chosen
 }
@@ -562,7 +562,7 @@ fn ppe_worker(
     rx: Receiver<Transfer>,
     txs: &[Sender<Transfer>],
     initial: Vec<SearchState>,
-    deadline: Option<Instant>,
+    started: Instant,
 ) -> SearchStats {
     // Observability: each PPE gets its own timeline track — a span covering
     // the worker's lifetime plus instants on elections, transfers and the
@@ -570,7 +570,7 @@ fn ppe_worker(
     let obs_track = if obs::enabled() { obs::next_track() } else { 0 };
     let _obs_span = obs::span("ppe", obs_track).with_arg("ppe", id as u64);
     let mut stats = SearchStats::default();
-    let mut open: BinaryHeap<HeapEntry> = BinaryHeap::new();
+    let mut open = Open::new();
     let mut arena = StateArena::new(problem);
     // Slot 0 is the problem's initial (empty) state: the arena re-roots
     // every state received from another PPE as a delta chain below it, so
@@ -609,7 +609,7 @@ fn ppe_worker(
         ElectionTransfer,
     }
 
-    let push_transfer = |open: &mut BinaryHeap<HeapEntry>,
+    let push_transfer = |open: &mut Open,
                              arena: &mut StateArena<'_>,
                              dup: &mut DupFilter<'_>,
                              counter: &mut u64,
@@ -633,12 +633,11 @@ fn ppe_worker(
             shared.offer_incumbent(g, || payload.to_state(problem).to_schedule(problem));
         }
         *counter += 1;
-        let key = (f, h, *counter);
         let id = match payload {
             Payload::Full(state) => arena.adopt_snapshot(state),
             Payload::Chain(chain) => arena.adopt_chain(&chain),
         };
-        open.push(HeapEntry { key, id });
+        open.push((f, h, *counter), id);
     };
 
     for s in initial {
@@ -675,13 +674,13 @@ fn ppe_worker(
             };
             obs::instant(arrival_name, obs_track, "records", records as u64);
             push_transfer(&mut open, &mut arena, &mut dup, &mut counter, &mut stats, t.payload, arrival);
-            let min_f = open.peek().map_or(u64::MAX, |e| e.key.0);
+            let min_f = open.peek().map_or(u64::MAX, |(key, _)| key.0);
             shared.local_min_f[id].store(min_f, Ordering::SeqCst);
             shared.in_flight.fetch_sub(records, Ordering::SeqCst);
         }
 
         // Publish this PPE's frontier cost and OPEN size.
-        let min_f = open.peek().map_or(u64::MAX, |e| e.key.0);
+        let min_f = open.peek().map_or(u64::MAX, |(key, _)| key.0);
         shared.local_min_f[id].store(min_f, Ordering::SeqCst);
         shared.open_sizes[id].store(open.len(), Ordering::Relaxed);
         stats.max_open_size = stats.max_open_size.max(open.len());
@@ -704,34 +703,22 @@ fn ppe_worker(
             }
         }
 
-        // Resource limits (evaluated on the global counters).
-        if let Some(max_exp) = cfg.limits.max_expansions {
-            if shared.total_expanded.load(Ordering::Relaxed) >= max_exp {
-                shared.limit_hit.store(true, Ordering::SeqCst);
-                shared.terminate.store(true, Ordering::SeqCst);
-                break;
-            }
-        }
-        if let Some(max_gen) = cfg.limits.max_generated {
-            if shared.total_generated.load(Ordering::Relaxed) >= max_gen {
-                shared.limit_hit.store(true, Ordering::SeqCst);
-                shared.terminate.store(true, Ordering::SeqCst);
-                break;
-            }
-        }
-        if let Some(dl) = deadline {
-            if Instant::now() >= dl {
-                shared.limit_hit.store(true, Ordering::SeqCst);
-                shared.terminate.store(true, Ordering::SeqCst);
-                break;
-            }
-        }
-        if let Some(target) = cfg.limits.target_cost {
-            if incumbent_len <= target {
-                shared.target_hit.store(true, Ordering::SeqCst);
-                shared.terminate.store(true, Ordering::SeqCst);
-                break;
-            }
+        // Resource limits: the engine's rule, on the counts across all PPEs
+        // and this PPE's own clock cadence.
+        if let Some(stop) = cfg.limits.reached(
+            started,
+            stats.expanded,
+            shared.total_expanded.load(Ordering::Relaxed),
+            shared.total_generated.load(Ordering::Relaxed),
+            incumbent_len,
+        ) {
+            let hit = match stop {
+                SearchOutcome::TargetReached => &shared.target_hit,
+                _ => &shared.limit_hit,
+            };
+            hit.store(true, Ordering::SeqCst);
+            shared.terminate.store(true, Ordering::SeqCst);
+            break;
         }
 
         if open.is_empty() {
@@ -746,14 +733,14 @@ fn ppe_worker(
         }
         idle_spins = 0;
 
-        let entry = select_state(&mut open, cfg.epsilon);
+        let selected = select_state(&mut open, cfg.epsilon);
         kept.clear();
         let mut popped_goal = false;
         {
             // Materialise the selected state (scratch replay); the borrow
             // lasts until the children collected in `kept` are stored,
             // mirroring the serial engine's loop.
-            let state = arena.materialise(entry.id);
+            let state = arena.materialise(selected);
             if state.is_goal(problem) {
                 // Goal broadcast: publish and keep searching until the global
                 // termination condition proves it cannot be beaten.
@@ -795,13 +782,13 @@ fn ppe_worker(
             counter += 1;
             stats.generated += 1;
             shared.total_generated.fetch_add(1, Ordering::Relaxed);
-            let child = arena.insert_child(entry.id, &delta);
-            open.push(HeapEntry { key: (f, delta.h, counter), id: child });
+            let child = arena.insert_child(selected, &delta);
+            open.push((f, delta.h, counter), child);
         }
         // The popped state's own handle is done: children hold their own
         // references up the chain, so with reclamation on, dead subtrees
         // (no surviving children) release their records here.
-        arena.release(entry.id);
+        arena.release(selected);
         if popped_goal {
             // Goal pops never trigger the communication phase (unchanged
             // from the pre-reclamation loop).
@@ -821,8 +808,8 @@ fn ppe_worker(
                     // it through its own duplicate detection).  A delta arena
                     // ships a shallow state's chain without materialising it
                     // and a deep one as a single snapshot.
-                    if let Some(best) = open.peek() {
-                        let payload = extract_payload(&mut arena, best.id);
+                    if let Some((_, best)) = open.peek() {
+                        let payload = extract_payload(&mut arena, best);
                         let records = payload.records(problem);
                         for &nb in neighbors {
                             shared.in_flight_add(records);
@@ -851,8 +838,7 @@ fn ppe_worker(
                     // than 25% above this PPE's best f), one state will not
                     // keep it busy: ship a k-best batch, every member still
                     // strictly better than the receiver's published minimum.
-                    if let Some(best) = open.peek() {
-                        let best_f = best.key.0;
+                    if let Some(best_f) = open.peek().map(|(key, _)| key.0) {
                         let target = neighbors
                             .iter()
                             .map(|&nb| (shared.local_min_f[nb].load(Ordering::SeqCst), Reverse(nb)))
@@ -864,11 +850,11 @@ fn ppe_worker(
                             let batch = if far_worse { ELECTION_BATCH } else { 1 };
                             let mut shipped = 0u64;
                             for _ in 0..batch {
-                                if !open.peek().is_some_and(|e| e.key.0 < nb_min_f) {
+                                if !open.peek().is_some_and(|(key, _)| key.0 < nb_min_f) {
                                     break;
                                 }
-                                let e = open.pop().expect("peeked a qualifying state above");
-                                let payload = extract_owned(problem, &mut arena, &mut dup, e.id);
+                                let sid = open.pop().expect("peeked a qualifying state above");
+                                let payload = extract_owned(problem, &mut arena, &mut dup, sid);
                                 let records = payload.records(problem);
                                 shared.in_flight_add(records);
                                 let t = Transfer { payload, owned: true, election: true };
@@ -900,20 +886,20 @@ fn ppe_worker(
                 if !deficits.is_empty() {
                     let surplus = open.len() - avg;
                     // Keep the best state locally; deal the following ones out.
-                    let keep = open.pop();
+                    let keep = open.pop_keyed();
                     let mut sent = 0usize;
                     let mut outgoing: Vec<StateId> = Vec::with_capacity(surplus);
                     while sent < surplus {
                         match open.pop() {
-                            Some(e) => {
-                                outgoing.push(e.id);
+                            Some(sid) => {
+                                outgoing.push(sid);
                                 sent += 1;
                             }
                             None => break,
                         }
                     }
-                    if let Some(k) = keep {
-                        open.push(k);
+                    if let Some((key, sid)) = keep {
+                        open.push(key, sid);
                     }
                     for (i, sid) in outgoing.into_iter().enumerate() {
                         // Chain-on-send: a shallow state leaves as its
@@ -937,17 +923,7 @@ fn ppe_worker(
         }
     }
 
-    // The arena is the PPE's only holder of full states: root + scratch plus
-    // adopted snapshots (nothing per OPEN entry).  The record counters report the O(live frontier)
-    // behaviour of the refcounted store and the replay work behind it.
-    stats.peak_live_states = arena.peak_live_full() as u64;
-    stats.peak_live_records = arena.peak_live_records() as u64;
-    stats.reclaimed_records = arena.reclaimed_records();
-    stats.materialisations = arena.materialisations();
-    stats.path_cache_hits = arena.path_cache_hits();
-    stats.path_cache_ancestor_hits = arena.path_cache_ancestor_hits();
-    stats.replayed_deltas = arena.replayed_deltas();
-    stats.replayed_deltas_saved = arena.replayed_deltas_saved();
+    arena.record_stats(&mut stats);
     obs::instant(
         "ppe_done",
         obs_track,

@@ -27,5 +27,5 @@
 pub mod network;
 pub mod topology;
 
-pub use network::{CommModel, ProcId, ProcNetwork, Processor};
+pub use network::{CommModel, ProcId, ProcNetwork, Processor, MAX_PROCS};
 pub use topology::Topology;

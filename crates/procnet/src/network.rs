@@ -5,6 +5,13 @@ use serde::{Deserialize, Serialize};
 
 use crate::topology::Topology;
 
+/// Largest number of processors a [`ProcNetwork`] may have (1024): the
+/// search packs a processor index into the 10 bits above the 54-bit start
+/// time of a state-signature word.  Every constructor checks the count
+/// first, before any work that grows with it — all-pairs hop distances are
+/// quadratic in memory and cubic in time on a fully connected network.
+pub const MAX_PROCS: usize = 1024;
+
 /// Identifier of a target processing element (TPE). Dense indices `0..p`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct ProcId(pub u32);
@@ -81,8 +88,21 @@ pub struct ProcNetwork {
 
 impl ProcNetwork {
     /// Builds a network of `p` homogeneous processors with the given topology.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is 0 or above [`MAX_PROCS`]; use
+    /// [`ProcNetwork::try_with_topology`] for a count from outside the
+    /// program.
     pub fn with_topology(topology: Topology, p: usize) -> ProcNetwork {
-        Self::from_parts(vec![Processor::default(); p], topology.edges(p), Some(topology))
+        Self::try_with_topology(topology, p).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible variant of [`ProcNetwork::with_topology`]: a processor count
+    /// of 0 or above [`MAX_PROCS`] is refused before any link is generated.
+    pub fn try_with_topology(topology: Topology, p: usize) -> Result<ProcNetwork, String> {
+        check_proc_count(p)?;
+        Self::try_from_parts(vec![Processor::default(); p], topology.edges(p), Some(topology))
     }
 
     /// `p` homogeneous, fully connected processors.
@@ -121,9 +141,10 @@ impl ProcNetwork {
     ///
     /// # Panics
     ///
-    /// Panics on an empty processor list, out-of-range endpoints or self
-    /// links; use [`ProcNetwork::try_from_parts`] for fallible construction
-    /// from untrusted input (the wire format does).
+    /// Panics on an empty or too long ([`MAX_PROCS`]) processor list,
+    /// out-of-range endpoints or self links; use
+    /// [`ProcNetwork::try_from_parts`] for fallible construction from
+    /// untrusted input (the wire format does).
     pub fn from_parts(
         procs: Vec<Processor>,
         edges: Vec<(usize, usize)>,
@@ -143,9 +164,7 @@ impl ProcNetwork {
         topology: Option<Topology>,
     ) -> Result<ProcNetwork, String> {
         let p = procs.len();
-        if p == 0 {
-            return Err("a processor network needs at least one processor".to_string());
-        }
+        check_proc_count(p)?;
         let mut adj: Vec<Vec<ProcId>> = vec![Vec::new(); p];
         for &(a, b) in &edges {
             if a >= p || b >= p {
@@ -372,6 +391,17 @@ impl serde::Deserialize for ProcNetwork {
     }
 }
 
+/// Accepts a processor count between 1 and [`MAX_PROCS`].
+fn check_proc_count(p: usize) -> Result<(), String> {
+    if p == 0 {
+        return Err("a processor network needs at least one processor".to_string());
+    }
+    if p > MAX_PROCS {
+        return Err(format!("{p} processors exceed the limit of {MAX_PROCS}"));
+    }
+    Ok(())
+}
+
 /// BFS from every processor over the neighbour lists.
 fn all_pairs_hops(adj: &[Vec<ProcId>]) -> Vec<Vec<u32>> {
     let p = adj.len();
@@ -552,6 +582,14 @@ mod tests {
         // A zero cycle time would divide the exec-time model by nothing.
         let zero_speed = r#"{"procs": [{"cycle_time": 0, "label": null}], "links": []}"#;
         assert!(serde_json::from_str::<ProcNetwork>(zero_speed).is_err());
+
+        // More processors than the signature can address, refused before
+        // the hop table is built.
+        let proc = r#"{"cycle_time": 1, "label": null}"#;
+        let procs = vec![proc; MAX_PROCS + 1].join(",");
+        let too_many = format!(r#"{{"procs": [{procs}], "links": []}}"#);
+        let err = serde_json::from_str::<ProcNetwork>(&too_many).unwrap_err();
+        assert!(err.to_string().contains("exceed the limit of 1024"), "{err}");
     }
 
     #[test]
@@ -571,6 +609,15 @@ mod tests {
         assert!(ProcNetwork::try_from_parts(vec![Processor::default()], vec![(0, 0)], None)
             .unwrap_err()
             .contains("self links"));
+        // The processor limit is checked before any quadratic work.
+        let too_many = vec![Processor::default(); MAX_PROCS + 1];
+        let err = ProcNetwork::try_from_parts(too_many, vec![], None).unwrap_err();
+        assert!(err.contains("1025 processors exceed the limit of 1024"), "{err}");
+        let err = ProcNetwork::try_with_topology(Topology::FullyConnected, MAX_PROCS + 1);
+        assert!(err.unwrap_err().contains("exceed the limit"));
+        assert!(ProcNetwork::try_with_topology(Topology::Ring, 0).is_err());
+        let largest = ProcNetwork::try_with_topology(Topology::Chain, MAX_PROCS).unwrap();
+        assert_eq!(largest.num_procs(), MAX_PROCS);
     }
 
     #[test]

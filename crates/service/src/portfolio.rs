@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 use optsched_procnet::Topology;
 
 use crate::protocol::{plan, Instance, Request};
-use crate::service::ServiceConfig;
+use crate::service::{ServiceConfig, DEADLINE_WEIGHT, DEFAULT_EPSILON};
 
 /// Cheap structural features of an instance, the portfolio's entire input.
 ///
@@ -247,9 +247,12 @@ pub struct ResolvedPlan {
 /// Resolves a request into its concrete plan, validating ε and the weight
 /// *before* anything keys on them (the runtime coalesces on this resolution,
 /// so an invalid parameter must fail here, not after a search was shared).
-pub fn resolve(req: &Request, config: &ServiceConfig) -> Result<ResolvedPlan, String> {
-    let epsilon = req.epsilon.unwrap_or(config.epsilon);
-    let weight = req.weight.unwrap_or(config.deadline_weight);
+/// A request without ε or weight gets [`DEFAULT_EPSILON`] or
+/// [`DEADLINE_WEIGHT`]; no field of the service configuration changes the
+/// plan.
+pub fn resolve(req: &Request, _config: &ServiceConfig) -> Result<ResolvedPlan, String> {
+    let epsilon = req.epsilon.unwrap_or(DEFAULT_EPSILON);
+    let weight = req.weight.unwrap_or(DEADLINE_WEIGHT);
     if !epsilon.is_finite() || epsilon < 0.0 {
         return Err(format!("epsilon must be a non-negative number, got {epsilon}"));
     }

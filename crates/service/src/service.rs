@@ -15,6 +15,13 @@ use crate::portfolio::{self, PlanMode, ResolvedPlan};
 use crate::protocol::{quality, Instance, Request, Response, StatsReport};
 use crate::signature::CanonicalInstance;
 
+/// ε for `aeps` requests that do not specify one.
+pub const DEFAULT_EPSILON: f64 = 0.2;
+
+/// Heuristic weight for `wastar` — the service's deadline-pressure
+/// algorithm — when the request does not specify one.
+pub const DEADLINE_WEIGHT: f64 = 1.5;
+
 /// Configuration of a [`SchedulingService`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
@@ -49,11 +56,6 @@ pub struct ServiceConfig {
     /// service: callers pay for answers, not for faithful-to-1998 search
     /// trees.
     pub seed_incumbent: bool,
-    /// Default ε for `aeps` requests that do not specify one.
-    pub epsilon: f64,
-    /// Heuristic weight for `wastar` — the service's deadline-pressure
-    /// algorithm — when the request does not specify one.
-    pub deadline_weight: f64,
     /// When set, the runtime enables event/span tracing for its lifetime and
     /// writes a Chrome trace-event JSON file (Perfetto-loadable) here on
     /// shutdown.  `None` (the default) keeps tracing disabled: every
@@ -72,8 +74,6 @@ impl Default for ServiceConfig {
             degrade_threshold: 192,
             degrade_deadline_ms: 25,
             seed_incumbent: true,
-            epsilon: 0.2,
-            deadline_weight: 1.5,
             trace_path: None,
         }
     }

@@ -70,8 +70,8 @@ impl TopoOrder {
 /// Returns, for every node, the set of nodes reachable from it (its
 /// descendants), as a vector of boolean masks indexed `[from][to]`.
 ///
-/// O(v·e / 64) using word-parallel bitsets; intended for analyses and tests,
-/// not for the inner search loop.
+/// O(v·e): every edge ORs the child's `Vec<bool>` mask into the parent's;
+/// intended for analyses and tests, not for the inner search loop.
 pub fn descendants(g: &TaskGraph) -> Vec<Vec<bool>> {
     let v = g.num_nodes();
     let topo = TopoOrder::compute(g).expect("TaskGraph is always acyclic");

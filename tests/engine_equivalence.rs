@@ -180,19 +180,48 @@ fn single_ppe_parallel_counts_are_pinned_across_modes_and_stores() {
     }
 }
 
-/// `SearchLimits` flow through every family, including the exhaustive
-/// enumerator (which silently ignored them before the engine refactor).
+/// `SearchLimits` flow through every family — the serial ones, the
+/// exhaustive enumerator (which silently ignored them before the engine
+/// refactor) and the parallel scheduler at q = 2, which stops by the same
+/// rule — under each kind of limit: expansions, generations, a 0 ms
+/// deadline and a target cost.  Every run ends early with a valid schedule.
 #[test]
 fn limits_flow_through_every_family() {
     let problem = SchedulingProblem::new(paper_example_dag(), ProcNetwork::ring(3));
-    let limited = SearchConfig::limited(SearchLimits::expansions(1));
-    let outcomes = [
-        AStarScheduler::new(&problem).with_config(limited.clone()).run().outcome,
-        AEpsScheduler::new(&problem, 0.2).with_config(limited.clone()).run().outcome,
-        ChenYuScheduler::new(&problem).with_config(limited.clone()).run().outcome,
-        ExhaustiveScheduler::new(&problem).with_config(limited).run().outcome,
+    let target = problem.upper_bound();
+    let kinds = [
+        ("expansions", SearchLimits::expansions(1), SearchOutcome::LimitReached),
+        (
+            "generations",
+            SearchLimits { max_generated: Some(1), ..Default::default() },
+            SearchOutcome::LimitReached,
+        ),
+        (
+            "0 ms deadline",
+            SearchLimits { max_millis: Some(0), ..Default::default() },
+            SearchOutcome::LimitReached,
+        ),
+        (
+            "target",
+            SearchLimits { target_cost: Some(target), ..Default::default() },
+            SearchOutcome::TargetReached,
+        ),
     ];
-    for (i, o) in outcomes.iter().enumerate() {
-        assert_eq!(*o, SearchOutcome::LimitReached, "family #{i}");
+    for (kind, limits, want) in kinds {
+        let limited = SearchConfig::limited(limits);
+        let serial = [
+            ("astar", AStarScheduler::new(&problem).with_config(limited.clone()).run()),
+            ("aeps", AEpsScheduler::new(&problem, 0.2).with_config(limited.clone()).run()),
+            ("chenyu", ChenYuScheduler::new(&problem).with_config(limited.clone()).run()),
+            ("exhaustive", ExhaustiveScheduler::new(&problem).with_config(limited).run()),
+        ];
+        for (family, r) in serial {
+            assert_eq!(r.outcome, want, "{family} under the {kind} limit");
+            r.expect_schedule().validate(problem.graph(), problem.network()).unwrap();
+        }
+        let cfg = ParallelConfig { limits, ..ParallelConfig::exact(2) };
+        let r = ParallelAStarScheduler::new(&problem, cfg).run();
+        assert_eq!(r.outcome, want, "parallel q=2 under the {kind} limit");
+        r.schedule.validate(problem.graph(), problem.network()).unwrap();
     }
 }

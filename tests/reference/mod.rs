@@ -24,9 +24,9 @@
 pub mod claims;
 pub mod signatures;
 
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::HashSet;
 
+use optsched::core::engine::{MinHeap, StateId};
 use optsched::core::{HeuristicKind, PruningConfig, SchedulingProblem, SearchState, SearchStats};
 use optsched::taskgraph::Cost;
 
@@ -49,13 +49,13 @@ pub fn astar(
     // reference only keeps its own three.
     let mut scratch_stats = SearchStats::default();
     let mut seen = HashSet::new();
-    let mut open = BinaryHeap::new();
+    let mut open = MinHeap::new();
     let mut states = vec![SearchState::initial(problem)];
-    open.push(Reverse((0, 0, 0u64, 0usize)));
+    open.push((0, 0, 0u64), 0);
     let mut incumbent = problem.upper_bound();
     let (mut expanded, mut generated, mut duplicates) = (0, 1, 0);
-    while let Some(Reverse((_, _, _, idx))) = open.pop() {
-        let state = states[idx].clone();
+    while let Some(idx) = open.pop() {
+        let state = states[idx as usize].clone();
         if state.is_goal(problem) {
             incumbent = state.g();
             break;
@@ -75,7 +75,8 @@ pub fn astar(
                 incumbent = incumbent.min(child.g());
             }
             generated += 1;
-            open.push(Reverse((f, child.h(), generated, states.len())));
+            let idx = StateId::try_from(states.len()).expect("reference runs stay small");
+            open.push((f, child.h(), generated), idx);
             states.push(child);
         }
     }
